@@ -28,6 +28,7 @@ from .leakage import (
     controlled_x_err,
     controlled_z_err,
     design_leakage,
+    exit_probabilities,
     monte_carlo_leakage,
     phases_from_fluctuation,
     simulate_leakage,

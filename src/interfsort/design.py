@@ -92,15 +92,15 @@ class SorterDesign:
 
 def de_broglie_wavelength(mass: float, velocity: float) -> float:
     """Matter wavelength h / (m * v)."""
-    if mass <= 0 or velocity <= 0:
-        raise ValueError(f"mass and velocity must be positive, got {mass}, {velocity}")
+    if mass <= 0 or not (math.isfinite(velocity) and velocity > 0):
+        raise ValueError(f"mass and velocity must be positive and finite, got {mass}, {velocity}")
     return PLANCK_H / (mass * velocity)
 
 
 def phase_shift(delta_length: float, mass: float, velocity: float) -> float:
     """Unwrapped phase 2*pi * dL * m * v / h accumulated over a path offset."""
-    if mass <= 0 or velocity <= 0:
-        raise ValueError(f"mass and velocity must be positive, got {mass}, {velocity}")
+    if mass <= 0 or not (math.isfinite(velocity) and velocity > 0):
+        raise ValueError(f"mass and velocity must be positive and finite, got {mass}, {velocity}")
     return 2.0 * np.pi * delta_length * mass * velocity / PLANCK_H
 
 
@@ -196,8 +196,8 @@ def solve_n_path(
     masses = [sp.mass for sp in species]
     if len(set(masses)) != n:
         raise ValueError("species masses must be distinct")
-    if velocity <= 0:
-        raise ValueError("velocity must be positive")
+    if not (math.isfinite(velocity) and velocity > 0):
+        raise ValueError(f"velocity must be positive and finite, got {velocity}")
 
     proportions = _rationalize_masses(masses, denom_bound)
     a0 = proportions[0]

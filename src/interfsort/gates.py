@@ -3,9 +3,11 @@
 Basis convention (the single binding convention of the package): the
 composite basis is mass-major, flat index = N*k + s for mass index k and
 path index s, both in [0, N).  The N-port coupler uses the Fourier kernel
-omega = exp(+2*pi*i/N).  All gates are dense complex128 arrays; N stays
-small (<= ~32) so uniform dense storage beats specialized diagonal or
-permutation representations.
+omega = exp(+2*pi*i/N).  All gates are dense complex128 arrays: they are
+the circuit picture of the paper and the reference that tests compare
+against.  Exit probabilities are computed without them, by one FFT per
+mass row (leakage.exit_probabilities), since the dense sorter costs
+O(N**6) to build.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ import numpy as np
 
 from .constants import PLANCK_H
 from .design import Species, SorterDesign
-from .gates import controlled_z, dft_matrix
+from .gates import dft_matrix
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,10 @@ class PhaseErrorVector:
             raise ValueError(f"need {self.n - 1} base errors, got {len(self.base_errors)}")
         if len(self.mass_ratios) != self.n:
             raise ValueError(f"need {self.n} mass ratios, got {len(self.mass_ratios)}")
+        if not all(np.isfinite(self.base_errors)):
+            raise ValueError("base phase errors must be finite")
+        if not all(np.isfinite(self.mass_ratios)):
+            raise ValueError("mass ratios must be finite")
 
     def phase_error(self, k: int, s: int) -> float:
         """Phase error of mass k on path s (zero on the reference path)."""
@@ -54,11 +58,6 @@ class PhaseErrorVector:
         """(n, n) array of phase errors, rows = mass, columns = path."""
         base = np.concatenate([[0.0], self.base_errors])
         return np.outer(self.mass_ratios, base)
-
-
-def zero_errors(n: int, mass_ratios: tuple[float, ...] | None = None) -> PhaseErrorVector:
-    ratios = tuple(mass_ratios) if mass_ratios is not None else (1.0,) * n
-    return PhaseErrorVector(n=n, base_errors=(0.0,) * (n - 1), mass_ratios=ratios)
 
 
 def phases_from_fluctuation(
@@ -83,11 +82,29 @@ def phases_from_fluctuation(
     return PhaseErrorVector(n=n, base_errors=tuple(base), mass_ratios=ratios)
 
 
+def ideal_phases(n: int) -> np.ndarray:
+    """(n, n) sorting phases 2*pi*k*s/N of the ideal gate, rows = mass."""
+    return 2.0 * np.pi / n * np.outer(np.arange(n), np.arange(n))
+
+
+def exit_probabilities(phase) -> np.ndarray:
+    """Exit probabilities |c_{k,s}|**2 from the path phases of each mass.
+
+    The sorter is F^dag diag(exp(i*phi_k)) F acting on |k,0>, so the exit
+    amplitudes of mass k are one length-N DFT of its path phasors:
+    c_{k,s} = fft(exp(i*phi_k))[s] / N.  `phase` has shape [..., N, N]
+    (rows = mass, columns = path); leading axes are a batch.
+    """
+    phase = np.asarray(phase, dtype=float)
+    if phase.ndim < 2 or phase.shape[-1] != phase.shape[-2]:
+        raise ValueError(f"phase must have shape [..., N, N], got {phase.shape}")
+    amps = np.fft.fft(np.exp(1j * phase), axis=-1) / phase.shape[-1]
+    return amps.real ** 2 + amps.imag ** 2
+
+
 def controlled_z_err(errs: PhaseErrorVector) -> np.ndarray:
     """Imperfect phase gate: |k,s> -> exp(i*dphi_{k,s}) * omega**(s*k) |k,s>."""
-    n = errs.n
-    ideal = 2.0 * np.pi / n * np.outer(np.arange(n), np.arange(n))
-    return np.diag(np.exp(1j * (ideal + errs.phase_matrix())).ravel())
+    return np.diag(np.exp(1j * (ideal_phases(errs.n) + errs.phase_matrix())).ravel())
 
 
 def controlled_x_err(errs: PhaseErrorVector) -> np.ndarray:
@@ -98,7 +115,11 @@ def controlled_x_err(errs: PhaseErrorVector) -> np.ndarray:
 
 
 def leakage_amplitudes(errs: PhaseErrorVector) -> np.ndarray:
-    """Amplitudes c_{k,s} = <k,s| sorter |k,0> as an (n, n) complex array."""
+    """Amplitudes c_{k,s} = <k,s| sorter |k,0> as an (n, n) complex array.
+
+    Read off the dense N**2 x N**2 sorter: the reference picture and the
+    test oracle for exit_probabilities, not a hot path.
+    """
     n = errs.n
     cx = controlled_x_err(errs)
     cols = cx.reshape(n, n, n, n)  # [k_out, s_out, k_in, s_in]
@@ -107,7 +128,7 @@ def leakage_amplitudes(errs: PhaseErrorVector) -> np.ndarray:
 
 def simulate_leakage(errs: PhaseErrorVector) -> np.ndarray:
     """Row-stochastic exit-probability matrix p_{k,s} = |c_{k,s}|**2."""
-    return np.abs(leakage_amplitudes(errs)) ** 2
+    return exit_probabilities(ideal_phases(errs.n) + errs.phase_matrix())
 
 
 def design_leakage(design: SorterDesign) -> np.ndarray:
@@ -116,16 +137,10 @@ def design_leakage(design: SorterDesign) -> np.ndarray:
     Uses the full accumulated phases 2*pi * dL_s * m_k * v / h, so any
     residual of an imperfect design shows up as off-diagonal leakage.
     """
-    n = design.n
     masses = np.array([sp.mass for sp in design.species])
     dl = np.array(design.delta_lengths)
-    phases = 2.0 * np.pi * np.outer(masses, dl) * design.velocity / PLANCK_H
-    f = dft_matrix(n)
-    p = np.empty((n, n))
-    for k in range(n):
-        column = f.conj().T @ (np.exp(1j * phases[k]) * f[:, 0])
-        p[k] = np.abs(column) ** 2
-    return p
+    return exit_probabilities(
+        2.0 * np.pi * np.outer(masses, dl) * design.velocity / PLANCK_H)
 
 
 def analytic_leakage_n3(
@@ -181,16 +196,20 @@ def sweep_leakage(
     d2s = np.atleast_1d(np.asarray(delta2_values, dtype=float))
     if d1s.size == 0 or d2s.size == 0:
         raise ValueError("sweep ranges must be non-empty")
-    n = len(mass_ratios)
+    ratios = np.asarray(mass_ratios, dtype=float)
+    n = ratios.size
     if n != 3:
         raise ValueError("the two-error sweep is defined for 3 paths")
-    grid = np.empty((d1s.size, d2s.size, n, n))
-    for i, d1 in enumerate(d1s):
-        for j, d2 in enumerate(d2s):
-            errs = PhaseErrorVector(n=n, base_errors=(d1, d2),
-                                    mass_ratios=tuple(mass_ratios))
-            grid[i, j] = simulate_leakage(errs)
-    return grid
+    if not (np.isfinite(d1s).all() and np.isfinite(d2s).all()):
+        raise ValueError("sweep phase errors must be finite")
+    if not np.isfinite(ratios).all():
+        raise ValueError("mass ratios must be finite")
+    # base[i, j] = (0, d1_i, d2_j), as PhaseErrorVector.phase_matrix lays it out
+    base = np.zeros((d1s.size, d2s.size, n))
+    base[..., 1] = d1s[:, None]
+    base[..., 2] = d2s[None, :]
+    errors = ratios[:, None] * base[..., None, :]
+    return exit_probabilities(ideal_phases(n) + errors)
 
 
 def write_sweep_csv(
@@ -246,12 +265,14 @@ def monte_carlo_leakage(
     if sigma_length < 0:
         raise ValueError("sigma must be non-negative")
     n = design.n
-    diagonals = np.empty((trials, n))
+    errors = np.empty((trials, n, n))
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
         fluct = PathFluctuation(tuple(rng.normal(0.0, sigma_length, size=n)))
-        errs = phases_from_fluctuation(fluct, design.species, design.velocity)
-        diagonals[t] = np.diag(simulate_leakage(errs))
+        errors[t] = phases_from_fluctuation(fluct, design.species,
+                                            design.velocity).phase_matrix()
+    probs = exit_probabilities(ideal_phases(n) + errors)
+    diagonals = np.diagonal(probs, axis1=-2, axis2=-1)
     return MonteCarloResult(
         mean=tuple(diagonals.mean(axis=0)),
         std=tuple(diagonals.std(axis=0)),

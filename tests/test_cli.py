@@ -94,6 +94,15 @@ class TestDesignCommand:
         assert main(["design", str(bad), "--velocity", "1",
                      "--out", str(tmp_path / "x.json")]) == 1
 
+    @pytest.mark.parametrize("velocity", ["nan", "inf", "-inf"])
+    def test_non_finite_velocity_exit_1(self, carbon_file, tmp_path, capsys, velocity):
+        out = tmp_path / "design.json"
+        assert main(["design", str(carbon_file), f"--velocity={velocity}",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "velocity" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_valid_design(self, carbon_file, tmp_path):
@@ -136,6 +145,13 @@ class TestSweepCommand:
         assert main(["sweep", "--ratios", "1,2", "--delta1-range", "0,0",
                      "--delta2-range", "0,0", "--out", str(tmp_path / "s.csv")]) == 1
 
+    def test_non_finite_ratio_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--ratios", "1,nan,1", "--delta1-range", "0,0",
+                     "--delta2-range", "0,0", "--out", str(out)]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMonteCarloCommand:
     def test_runs_and_reproduces(self, carbon_file, tmp_path):
@@ -172,6 +188,20 @@ class TestSimulateCommand:
             "total_particles": 10, "seed": 0,
         }))
         assert main(["simulate", str(config), "--out", str(tmp_path / "r.json")]) == 1
+
+    def test_nan_phase_error_exit_1(self, tmp_path, capsys):
+        config = tmp_path / "nan.json"
+        config.write_text(json.dumps({
+            "species": [{"name": "a", "mass_u": 12}, {"name": "b", "mass_u": 13}],
+            "velocity_mps": 1.0, "abundances": [0.5, 0.5],
+            "total_particles": 10, "seed": 0,
+            "errors": {"delta_phi_rad": [float("nan")]},
+        }))
+        out = tmp_path / "r.json"
+        assert main(["simulate", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "finite" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestAmsCompareCommand:

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interfsort.design import Species, de_broglie_wavelength, solve_n_path
+from interfsort.design import (
+    SorterDesign,
+    Species,
+    de_broglie_wavelength,
+    phase_shift,
+    solve_n_path,
+)
 from interfsort.gates import controlled_x, controlled_z, dft_matrix, is_unitary
 from interfsort.leakage import (
     MonteCarloResult,
@@ -13,6 +19,8 @@ from interfsort.leakage import (
     controlled_x_err,
     controlled_z_err,
     design_leakage,
+    exit_probabilities,
+    ideal_phases,
     leakage_amplitudes,
     monte_carlo_leakage,
     phases_from_fluctuation,
@@ -68,6 +76,43 @@ class TestPhasesFromFluctuation:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             phases_from_fluctuation(PathFluctuation((0.0, 1e-9)), self.SPECIES, 10.0)
+
+
+class TestPhaseErrorValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_base_error_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PhaseErrorVector(3, (bad, 0.0), (1.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_mass_ratio_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PhaseErrorVector(3, (0.1, 0.2), (1.0, bad, 1.0))
+
+
+class TestExitProbabilities:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 16, 32])
+    def test_matches_dense_oracle(self, n):
+        rng = np.random.default_rng(100 + n)
+        errs = random_errors(rng, n)
+        p = exit_probabilities(ideal_phases(n) + errs.phase_matrix())
+        assert np.abs(p - np.abs(leakage_amplitudes(errs)) ** 2).max() < 1e-12
+        assert np.abs(p.sum(axis=-1) - 1.0).max() < 1e-12
+
+    def test_batch_equals_per_matrix_calls(self):
+        n = 5
+        rng = np.random.default_rng(11)
+        stack = rng.uniform(-np.pi, np.pi, size=(2, 3, n, n))
+        batched = exit_probabilities(stack)
+        assert batched.shape == (2, 3, n, n)
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(batched[i, j], exit_probabilities(stack[i, j]))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 3, 2)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            exit_probabilities(np.zeros(shape))
 
 
 class TestImperfectGates:
@@ -224,12 +269,47 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_leakage([], [0.0], (1.0, 1.0, 1.0))
 
+    def test_grid_matches_per_point_simulation(self):
+        ratios = (1.0, 2.37, 0.61)
+        d1s = np.linspace(-2.0, 3.0, 6)
+        d2s = np.linspace(-1.0, 0.5, 4)
+        grid = sweep_leakage(d1s, d2s, ratios)
+        for i, d1 in enumerate(d1s):
+            for j, d2 in enumerate(d2s):
+                point = simulate_leakage(PhaseErrorVector(3, (d1, d2), ratios))
+                assert np.array_equal(grid[i, j], point)
+
+    @pytest.mark.parametrize("d1s, d2s, ratios", [
+        ([0.0, np.nan], [0.0], (1.0, 1.0, 1.0)),
+        ([0.0], [np.inf], (1.0, 1.0, 1.0)),
+        ([0.0], [0.0], (1.0, np.nan, 1.0)),
+        ([0.0], [0.0], (1.0, 1.0, -np.inf)),
+    ])
+    def test_non_finite_input_rejected(self, d1s, d2s, ratios):
+        with pytest.raises(ValueError, match="finite"):
+            sweep_leakage(d1s, d2s, ratios)
+
 
 class TestDesignLeakage:
     def test_solved_design_sorts_perfectly(self):
         species = [Species("a", 6e-26), Species("b", 7e-26), Species("c", 8e-26)]
         design = solve_n_path(species, 40.0)
         assert np.abs(design_leakage(design) - np.eye(3)).max() < 1e-9
+
+    def test_perturbed_design_matches_coupler_products(self):
+        species = [Species("a", 6e-26), Species("b", 7e-26), Species("c", 8e-26)]
+        design = solve_n_path(species, 40.0)
+        design = SorterDesign(design.velocity, design.species,
+                              (0.0, design.delta_lengths[1] * 1.003,
+                               design.delta_lengths[2] * 0.998), design.windings)
+        f = dft_matrix(3)
+        expected = []
+        for sp in species:
+            phases = [phase_shift(dl, sp.mass, design.velocity) for dl in design.delta_lengths]
+            expected.append(np.abs(f.conj().T @ (np.exp(1j * np.array(phases)) * f[:, 0])) ** 2)
+        p = design_leakage(design)
+        assert np.abs(p - np.array(expected)).max() < 1e-12
+        assert np.abs(p - np.eye(3)).max() > 1e-3
 
 
 class TestMonteCarlo:
@@ -254,6 +334,21 @@ class TestMonteCarlo:
         b = monte_carlo_leakage(self._design(), 1e-10, trials=50, seed=9)
         assert a == b
         assert isinstance(a, MonteCarloResult)
+
+    def test_matches_serial_dense_oracle(self):
+        design = self._design()
+        sigma, trials, seed = 3e-11, 40, 17
+        result = monte_carlo_leakage(design, sigma, trials=trials, seed=seed)
+        diagonals = []
+        for t in range(trials):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
+            fluct = PathFluctuation(tuple(rng.normal(0.0, sigma, size=design.n)))
+            errs = phases_from_fluctuation(fluct, design.species, design.velocity)
+            diagonals.append(np.diag(np.abs(leakage_amplitudes(errs)) ** 2))
+        diagonals = np.array(diagonals)
+        assert np.abs(np.array(result.mean) - diagonals.mean(axis=0)).max() < 1e-12
+        assert np.abs(np.array(result.std) - diagonals.std(axis=0)).max() < 1e-12
+        assert min(result.mean) < 1.0 - 1e-6
 
     def test_validation(self):
         with pytest.raises(ValueError):
