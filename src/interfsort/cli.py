@@ -81,6 +81,20 @@ def _parse_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _describe_obstruction(obstruction: dict) -> str:
+    """One line naming why N*A_k*x = k*s*A_0 (mod N*A_0) fails for a path."""
+    kind = obstruction["type"]
+    if kind == "congruence":
+        return (f"row k = {obstruction['k']} has no solution: gcd(N*A_k, N*A_0) = "
+                f"{obstruction['gcd']} does not divide k*s*A_0")
+    if kind == "merge":
+        j, k = obstruction["k"]
+        return (f"rows k = {j} and k = {k} contradict each other "
+                f"modulo gcd {obstruction['gcd']}")
+    return (f"the shortest solution x = {obstruction['x']} needs windings up to "
+            f"{obstruction['max_winding_needed']}")
+
+
 def cmd_design(args) -> int:
     started = time.perf_counter()
     species = load_species_file(args.species_file)
@@ -101,8 +115,8 @@ def cmd_design(args) -> int:
         _write_manifest(args.out, "design", params, None, started)
         print(f"infeasible: {exc}", file=sys.stderr)
         for s, info in report.get("paths", {}).items():
-            print(f"  path {s}: min residual {info['min_residual_rad']:.3e} rad",
-                  file=sys.stderr)
+            print(f"  path {s}: min residual {info['min_residual_rad']:.3e} rad; "
+                  f"{_describe_obstruction(info['obstruction'])}", file=sys.stderr)
         return EXIT_INFEASIBLE
 
     if args.mmi_width is not None:

@@ -7,8 +7,15 @@ to satisfy, for every mass k and path s,
 
 with integer windings n_{k,s} (n_{k,0} = 0).  In units of the reference
 wavelength, x_s := dL_s * m_0 * v / h, the k = 0 row forces x_s to be an
-integer, so the search runs over integer x_s and checks the remaining
-congruences exactly with rational mass ratios.
+integer.  With integer mass proportions m_k / m_0 = A_k / A_0 the other
+rows become the linear congruences
+
+    N * A_k * x_s  =  k * s * A_0   (mod N * A_0),
+
+which are solved exactly: a gcd test and a modular inverse per row, then
+a generalized Chinese-remainder merge.  Feasibility is therefore decided
+by arithmetic, and an infeasible path comes with the congruence that
+obstructs it.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ PHASE_TOL = 1e-9           # rad; max residual for a design to count as valid
 RATIO_REL_TOL = 1e-9       # relative tolerance when rationalizing mass ratios
 DEFAULT_MAX_WINDING = 1000
 DEFAULT_DENOM_BOUND = 10_000
+_RESIDUAL_BLOCK = 1 << 16  # x values per block of the residual scan
 
 
 class NonCommensurableMassesError(ValueError):
@@ -122,8 +130,9 @@ def solve_two_species(
     the other (odd multiple of pi).  Raises InfeasibleDesignError with the
     best rational approximation when no pair exists within max_k.
     """
-    if m1 <= 0 or m2 <= 0 or velocity <= 0:
-        raise ValueError("masses and velocity must be positive")
+    if not all(math.isfinite(x) and x > 0 for x in (m1, m2, velocity)):
+        raise ValueError(f"masses and velocity must be positive and finite, "
+                         f"got {m1}, {m2}, {velocity}")
     if m1 == m2:
         raise ValueError("species masses must differ")
     ratio = m1 / m2
@@ -176,6 +185,74 @@ def _rationalize_masses(masses: list[float], denom_bound: int) -> list[int]:
     return [int(f * common) for f in fracs]
 
 
+def _solve_path(a: list[int], s: int, max_winding: int) -> tuple[int | None, dict | None]:
+    """Smallest x in 1..max_winding that sorts path s, or what prevents one.
+
+    Mass k needs N*A_k*x = k*s*A_0 (mod N*A_0).  Each row is solved with a
+    gcd test and a modular inverse, and the rows are merged into one
+    x = r (mod M) by the generalized Chinese remainder theorem.  Every
+    winding t_k(x) = (N*A_k*x - k*s*A_0) / (N*A_0) grows with x, so the
+    bound |t_k| <= max_winding keeps an interval of x, and the answer is
+    the first x = r (mod M) inside it.
+    """
+    n = len(a)
+    mod = n * a[0]
+    rows = []  # (k, r_k, m_k): x = r_k (mod m_k)
+    for k in range(1, n):
+        g = math.gcd(n * a[k], mod)
+        b = k * s * a[0]
+        if b % g:
+            return None, {"type": "congruence", "k": k, "gcd": g, "modulus": mod}
+        m_k = mod // g
+        rows.append((k, b // g * pow(n * a[k] // g, -1, m_k) % m_k, m_k))
+
+    r, m = 0, 1
+    for i, (k, r_k, m_k) in enumerate(rows):
+        g = math.gcd(m, m_k)
+        if (r_k - r) % g:
+            # pairwise compatibility is necessary and sufficient, so some
+            # earlier row contradicts row k on its own
+            j, g_jk = next((j, math.gcd(m_j, m_k)) for j, r_j, m_j in rows[:i]
+                           if (r_k - r_j) % math.gcd(m_j, m_k))
+            return None, {"type": "merge", "k": [j, k], "gcd": g_jk}
+        u = (r_k - r) // g * pow(m // g, -1, m_k // g) % (m_k // g)
+        r, m = r + m * u, m // g * m_k
+
+    lo, hi = 1, max_winding
+    for k in range(1, n):
+        c, b = n * a[k], k * s * a[0]
+        lo = max(lo, -((max_winding * mod - b) // c))   # t_k >= -max_winding
+        hi = min(hi, (max_winding * mod + b) // c)      # t_k <= max_winding
+    x = lo + (r - lo) % m
+    if x > hi:
+        # r > 0, since x = 0 would need N | s in row k = 1: r is the shortest solution
+        need = max(r, *(abs(n * a[k] * r - k * s * a[0]) // mod for k in range(1, n)))
+        return None, {"type": "winding_bound", "x": r, "max_winding_needed": need}
+    return x, None
+
+
+def _min_residual_cycles(a: list[int], s: int, max_winding: int) -> float:
+    """min over x = 1..max_winding of max over k of t_k(x)'s distance to an integer.
+
+    The distances repeat with period N*A_0 in x, so longer ranges add
+    nothing; the scan runs in blocks to bound memory.
+    """
+    n = len(a)
+    mod = n * a[0]
+    stop = min(max_winding, mod)
+    coef = [n * a_k for a_k in a[1:]]
+    offset = [k * s * a[0] for k in range(1, n)]
+    dtype = np.int64 if max(coef) * stop + max(offset) < 2**63 else object
+    coef = np.array(coef, dtype=dtype)[:, None]
+    offset = np.array(offset, dtype=dtype)[:, None]
+    best = mod
+    for first in range(1, stop + 1, _RESIDUAL_BLOCK):
+        x = np.arange(first, min(first + _RESIDUAL_BLOCK, stop + 1)).astype(dtype)
+        rem = (coef * x - offset) % mod
+        best = min(best, int(np.minimum(rem, mod - rem).max(axis=0).min()))
+    return best / mod
+
+
 def solve_n_path(
     species: list[Species] | tuple[Species, ...],
     velocity: float,
@@ -184,11 +261,17 @@ def solve_n_path(
 ) -> SorterDesign:
     """Find the shortest path offsets dL_s sorting all N species at once.
 
-    For each path s the candidate x_s = dL_s * m_0 * v / h runs over the
-    integers 1..max_winding (the k = 0 congruence admits nothing else);
-    a candidate is accepted when every mass row yields an integer winding.
-    The smallest feasible x_s wins, giving the shortest interferometer.
+    For each path s, x_s = dL_s * m_0 * v / h is the smallest positive
+    integer solving the congruences N*A_k*x = k*s*A_0 (mod N*A_0) of every
+    mass row whose windings all stay within max_winding.  The congruences
+    are solved exactly (gcd test, then a Chinese-remainder merge), so
+    max_winding only bounds the reported windings.  When a path has no
+    solution, InfeasibleDesignError.report["paths"][s] carries its
+    obstruction and the smallest worst-row residual over x = 1..max_winding.
     """
+    if max_winding < 1 or denom_bound < 1:
+        raise ValueError(f"max_winding and denom_bound must be at least 1, "
+                         f"got {max_winding}, {denom_bound}")
     species = tuple(species)
     n = len(species)
     if n < 2:
@@ -208,35 +291,19 @@ def solve_n_path(
     infeasible: dict[int, dict] = {}
 
     for s in range(1, n):
-        solution = None
-        best_residual = math.inf  # cycles, max over k, minimized over x
-        for x in range(1, max_winding + 1):
-            column = [0] * n
-            column[0] = x
-            worst = 0.0
-            ok = True
-            for k in range(1, n):
-                t = Fraction(proportions[k] * x, a0) - Fraction(k * s, n)
-                if t.denominator == 1 and abs(t) <= max_winding:
-                    column[k] = int(t)
-                else:
-                    ok = False
-                    frac = t - round(t)
-                    worst = max(worst, abs(float(frac)))
-            if ok:
-                solution = (x, column)
-                break
-            best_residual = min(best_residual, worst)
-        if solution is None:
+        x, obstruction = _solve_path(proportions, s, max_winding)
+        if x is None:
+            residual = _min_residual_cycles(proportions, s, max_winding)
             infeasible[s] = {
-                "min_residual_cycles": best_residual,
-                "min_residual_rad": 2.0 * np.pi * best_residual,
+                "min_residual_cycles": residual,
+                "min_residual_rad": 2.0 * np.pi * residual,
+                "obstruction": obstruction,
             }
             continue
-        x, column = solution
         delta_lengths[s] = x * lam0
-        for k in range(n):
-            windings[k][s] = column[k]
+        windings[0][s] = x
+        for k in range(1, n):
+            windings[k][s] = (n * proportions[k] * x - k * s * a0) // (n * a0)
 
     if infeasible:
         raise InfeasibleDesignError(

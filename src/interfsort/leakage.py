@@ -9,6 +9,7 @@ see the same length errors scaled by their mass ratio m_k / m_0.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,6 +61,11 @@ class PhaseErrorVector:
         return np.outer(self.mass_ratios, base)
 
 
+def _base_phase_errors(d: np.ndarray, m0: float, velocity: float) -> np.ndarray:
+    """2*pi * (dL_s - dL_0) * m_0 * v / h for path-length errors dL along the last axis."""
+    return 2.0 * np.pi * (d[..., 1:] - d[..., :1]) * m0 * velocity / PLANCK_H
+
+
 def phases_from_fluctuation(
     fluct: PathFluctuation,
     species: list[Species] | tuple[Species, ...],
@@ -76,8 +82,7 @@ def phases_from_fluctuation(
     if len(fluct.delta_lengths) != n:
         raise ValueError(f"need {n} path fluctuations, got {len(fluct.delta_lengths)}")
     m0 = species[0].mass
-    d = np.asarray(fluct.delta_lengths)
-    base = 2.0 * np.pi * (d[1:] - d[0]) * m0 * velocity / PLANCK_H
+    base = _base_phase_errors(np.asarray(fluct.delta_lengths), m0, velocity)
     ratios = tuple(sp.mass / m0 for sp in species)
     return PhaseErrorVector(n=n, base_errors=tuple(base), mass_ratios=ratios)
 
@@ -258,19 +263,25 @@ def monte_carlo_leakage(
     """Sample i.i.d. Gaussian path noise and aggregate the diagonal leakage.
 
     Each trial uses an RNG stream derived from (seed, trial index), so a
-    parallel split over trials would reproduce the serial result.
+    parallel split over trials would reproduce the serial result.  The
+    draws are stacked and turned into phase errors in one batch, with the
+    arithmetic of phases_from_fluctuation and PhaseErrorVector.phase_matrix.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if sigma_length < 0:
-        raise ValueError("sigma must be non-negative")
+    if not (math.isfinite(sigma_length) and sigma_length >= 0):
+        raise ValueError(f"sigma must be non-negative and finite, got {sigma_length}")
     n = design.n
-    errors = np.empty((trials, n, n))
-    for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
-        fluct = PathFluctuation(tuple(rng.normal(0.0, sigma_length, size=n)))
-        errors[t] = phases_from_fluctuation(fluct, design.species,
-                                            design.velocity).phase_matrix()
+    lengths = np.stack([
+        np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
+        .normal(0.0, sigma_length, size=n)
+        for t in range(trials)
+    ])
+    m0 = design.species[0].mass
+    ratios = np.array([sp.mass / m0 for sp in design.species])
+    base = np.concatenate([np.zeros((trials, 1)),
+                           _base_phase_errors(lengths, m0, design.velocity)], axis=1)
+    errors = ratios[:, None] * base[:, None, :]
     probs = exit_probabilities(ideal_phases(n) + errors)
     diagonals = np.diagonal(probs, axis1=-2, axis2=-1)
     return MonteCarloResult(

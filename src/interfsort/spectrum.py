@@ -6,10 +6,10 @@ comparison against the interferometric sorter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .design import species_from_obj
 from .leakage import PathFluctuation, PhaseErrorVector, phases_from_fluctuation, simulate_leakage
@@ -97,6 +97,10 @@ def reconstruct_spectrum(counts: CountRecord, leakage) -> tuple[np.ndarray, np.n
     f = counts.fractions()
     a = np.linalg.solve(system, f)
     if a.min() < -1e-12:
+        # imported here, not at module level: scipy.optimize is most of the
+        # package's import time and memory, and only this branch needs it
+        from scipy.optimize import nnls
+
         # pin the simplex constraint with a heavily weighted sum row
         weight = 1e6
         stacked = np.vstack([system, weight * np.ones((1, n))])
@@ -117,8 +121,11 @@ def ams_radius(mass: float, velocity: float, charge: float, b_field: float) -> f
     """Deflection radius m*v / (q*B) of a charged species."""
     if charge == 0:
         raise NeutralSpeciesError("magnetic deflection cannot separate neutral species")
-    if mass <= 0 or velocity <= 0 or b_field <= 0:
-        raise ValueError("mass, velocity and field must be positive")
+    if not math.isfinite(charge):
+        raise ValueError(f"charge must be finite, got {charge}")
+    if not all(math.isfinite(x) and x > 0 for x in (mass, velocity, b_field)):
+        raise ValueError(f"mass, velocity and field must be positive and finite, "
+                         f"got {mass}, {velocity}, {b_field}")
     return mass * velocity / (charge * b_field)
 
 
@@ -128,8 +135,11 @@ def ams_separation(
     """Radius difference (v/B) * (m2/q2 - m1/q1); species separation is twice this."""
     if q1 == 0 or q2 == 0:
         raise NeutralSpeciesError("magnetic deflection cannot separate neutral species")
-    if velocity <= 0 or b_field <= 0:
-        raise ValueError("velocity and field must be positive")
+    if not (math.isfinite(q1) and math.isfinite(q2)):
+        raise ValueError(f"charges must be finite, got {q1}, {q2}")
+    if not all(math.isfinite(x) and x > 0 for x in (m1, m2, velocity, b_field)):
+        raise ValueError(f"masses, velocity and field must be positive and finite, "
+                         f"got {m1}, {m2}, {velocity}, {b_field}")
     return velocity / b_field * (m2 / q2 - m1 / q1)
 
 

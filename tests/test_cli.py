@@ -84,6 +84,26 @@ class TestDesignCommand:
         payload = json.loads(out.read_text())
         assert "paths" in payload["report"]
 
+    def test_infeasible_names_obstruction(self, tmp_path, capsys):
+        species = tmp_path / "c12_16.json"
+        species.write_text(json.dumps([{"name": f"m{a}", "mass_u": a} for a in range(12, 17)]))
+        out = tmp_path / "design.json"
+        assert main(["design", str(species), "--velocity", "10", "--out", str(out)]) == 2
+        report = json.loads(out.read_text())["report"]
+        assert report["paths"]["1"]["obstruction"] == {
+            "type": "congruence", "k": 1, "gcd": 5, "modulus": 60}
+        err = capsys.readouterr().err
+        assert err.count("row k = 1 has no solution: gcd(N*A_k, N*A_0) = 5") == 4
+
+    @pytest.mark.parametrize("flag", ["--max-winding", "--denom-bound"])
+    def test_bound_below_one_exit_1(self, carbon_file, tmp_path, capsys, flag):
+        out = tmp_path / "design.json"
+        assert main(["design", str(carbon_file), "--velocity", "10", flag, "0",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "at least 1" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_file_exit_1(self, tmp_path):
         assert main(["design", str(tmp_path / "nope.json"), "--velocity", "1",
                      "--out", str(tmp_path / "x.json")]) == 1
@@ -217,6 +237,15 @@ class TestAmsCompareCommand:
     def test_zero_charge_exit_1(self, carbon_file, tmp_path):
         assert main(["ams-compare", str(carbon_file), "--velocity", "1e5",
                      "--charge-e", "0"]) == 1
+
+    @pytest.mark.parametrize("flags", [["--velocity=nan"], ["--velocity=1e5", "--b-field=inf"],
+                                       ["--velocity=1e5", "--charge-e=nan"]])
+    def test_non_finite_input_exit_1(self, carbon_file, tmp_path, capsys, flags):
+        out = tmp_path / "ams.json"
+        assert main(["ams-compare", str(carbon_file), *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "finite" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestHelpAndUsage:

@@ -1,11 +1,14 @@
 import json
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import interfsort.design as design_module
 from interfsort.constants import ATOMIC_MASS_KG, PLANCK_H
 from interfsort.design import (
     InfeasibleDesignError,
@@ -41,6 +44,87 @@ def brute_force_windings(masses, velocity, s, n, x_max=200):
         if max(residuals) < 1e-9:
             return x
     return None
+
+
+def brute_force_n_path(masses_u, max_winding):
+    """The bounded search solve_n_path used before the congruence solver.
+
+    Integer masses A_k; for each path s, scans x = 1..max_winding with exact
+    rationals. Returns (xs, windings) when every path sorts, else the
+    per-path minimal residual report of the infeasible paths.
+    """
+    a = list(masses_u)
+    n = len(a)
+    xs, windings, infeasible = [], [[0] * n for _ in range(n)], {}
+    for s in range(1, n):
+        best = math.inf
+        for x in range(1, max_winding + 1):
+            column, worst, ok = [x] + [0] * (n - 1), 0.0, True
+            for k in range(1, n):
+                t = Fraction(a[k] * x, a[0]) - Fraction(k * s, n)
+                if t.denominator == 1 and abs(t) <= max_winding:
+                    column[k] = int(t)
+                else:
+                    ok = False
+                    worst = max(worst, abs(float(t - round(t))))
+            if ok:
+                xs.append(x)
+                for k in range(n):
+                    windings[k][s] = column[k]
+                break
+            best = min(best, worst)
+        else:
+            infeasible[s] = {"min_residual_cycles": best,
+                             "min_residual_rad": 2.0 * np.pi * best}
+    return (None, None, infeasible) if infeasible else (xs, windings, None)
+
+
+def random_mass_sets(seed, count):
+    """Seeded integer mass sets, N = 2..7; half built feasible as A_k = k*d (mod A_0)."""
+    rng = random.Random(seed)
+    sets = []
+    while len(sets) < count:
+        n = rng.randint(2, 7)
+        if len(sets) % 2 == 0:
+            a0 = n * rng.randint(1, 6)
+            d = rng.choice([d for d in range(1, a0 + 1) if math.gcd(d, a0) == 1])
+            masses = [a0] + [(k * d) % a0 + a0 * rng.randint(0, 3) for k in range(1, n)]
+        else:
+            masses = rng.sample(range(2, 40), n)
+        if len(set(masses)) == n and min(masses) >= 1:
+            sets.append(masses)
+    return sets
+
+
+def check_obstruction(masses_u, s, obstruction, max_winding):
+    """Check a reported obstruction by scanning x over one period, 1..N*A_0."""
+    a = [m // math.gcd(*masses_u) for m in masses_u]
+    n = len(a)
+    mod = n * a[0]
+    x = np.arange(1, mod + 1)
+
+    def solved(rows):
+        ok = np.ones(mod, dtype=bool)
+        for k in rows:
+            ok &= (n * a[k] * x - k * s * a[0]) % mod == 0
+        return ok
+
+    kind = obstruction["type"]
+    if kind == "congruence":
+        k = obstruction["k"]
+        assert obstruction["gcd"] == math.gcd(n * a[k], mod)
+        assert all(solved([i]).any() for i in range(1, k)) and not solved([k]).any()
+    elif kind == "merge":
+        j, k = obstruction["k"]
+        assert obstruction["gcd"] == math.gcd(mod // math.gcd(n * a[j], mod),
+                                              mod // math.gcd(n * a[k], mod))
+        assert solved([j]).any() and solved([k]).any() and not solved([j, k]).any()
+    else:
+        assert kind == "winding_bound"
+        x0 = int(x[np.flatnonzero(solved(range(1, n)))[0]])
+        windings = [abs(n * a[k] * x0 - k * s * a[0]) // mod for k in range(1, n)]
+        assert obstruction["x"] == x0
+        assert obstruction["max_winding_needed"] == max(x0, *windings) > max_winding
 
 
 class TestWavelengthAndPhase:
@@ -107,6 +191,13 @@ class TestTwoSpecies:
         with pytest.raises(ValueError):
             solve_two_species(1e-26, 1e-26, 1.0)
 
+    @pytest.mark.parametrize("velocity", [math.nan, math.inf, -1.0])
+    def test_bad_velocity_is_input_error(self, velocity):
+        # an irrational ratio would otherwise end in InfeasibleDesignError
+        with pytest.raises(ValueError, match="finite") as exc:
+            solve_two_species(1e-26, math.sqrt(2) * 1e-26, velocity, max_k=10)
+        assert not isinstance(exc.value, InfeasibleDesignError)
+
 
 class TestNPath:
     def test_two_species_consistency(self):
@@ -147,6 +238,95 @@ class TestNPath:
         ]
         with pytest.raises(NonCommensurableMassesError):
             solve_n_path(species, 1.0, denom_bound=100)
+
+    @pytest.mark.parametrize("max_winding", [1, 7, 20, 60, 200])
+    def test_matches_brute_force(self, max_winding):
+        feasible = infeasible = 0
+        # descending masses: at max_winding = 1, x = 1 solves path 3's
+        # congruences but winds mass 3 by -2
+        for masses in [[4, 3, 2, 1], *random_mass_sets(max_winding, 60)]:
+            species = [Species(f"m{m}", m * ATOMIC_MASS_KG) for m in masses]
+            xs, windings, report = brute_force_n_path(masses, max_winding)
+            if xs is None:
+                infeasible += 1
+                with pytest.raises(InfeasibleDesignError) as exc:
+                    solve_n_path(species, 3.0, max_winding=max_winding)
+                paths = exc.value.report["paths"]
+                assert set(paths) == set(report), masses
+                for s, info in report.items():
+                    assert paths[s]["min_residual_cycles"] == info["min_residual_cycles"]
+                    assert paths[s]["min_residual_rad"] == info["min_residual_rad"]
+                    check_obstruction(masses, s, paths[s]["obstruction"], max_winding)
+                continue
+            feasible += 1
+            design = solve_n_path(species, 3.0, max_winding=max_winding)
+            lam0 = de_broglie_wavelength(species[0].mass, 3.0)
+            assert design.delta_lengths == (0.0, *(x * lam0 for x in xs)), masses
+            assert [list(row) for row in design.windings] == windings, masses
+        assert infeasible >= 5 and (feasible >= 5 or max_winding == 1)
+
+    def test_large_proportions_match_brute_force(self):
+        # ratios 1 + 1/p for primes p near 1e4 give A_0 ~ 1e16, so N*A_k*x
+        # leaves the int64 range in the residual scan
+        ratios = [Fraction(1)] + [1 + Fraction(1, p) for p in (9973, 9967, 9949, 9941)]
+        common = math.lcm(*(r.denominator for r in ratios))
+        proportions = [int(r * common) for r in ratios]
+        species = [Species(f"m{k}", float(r) * 1e-26) for k, r in enumerate(ratios)]
+        with pytest.raises(InfeasibleDesignError) as exc:
+            solve_n_path(species, 3.0, max_winding=300)
+        _, _, report = brute_force_n_path(proportions, 300)
+        paths = exc.value.report["paths"]
+        assert {s: {k: v for k, v in info.items() if k != "obstruction"}
+                for s, info in paths.items()} == report
+
+    @pytest.mark.parametrize("block", [45, 46])
+    def test_residual_scan_in_blocks(self, monkeypatch, block):
+        # masses 65, 64, 42: path 1's smallest residual over x = 1..100 is at
+        # x = 46 alone, which opens or closes a block of these sizes
+        monkeypatch.setattr(design_module, "_RESIDUAL_BLOCK", block)
+        masses = [65, 64, 42]
+        species = [Species(f"m{a}", a * ATOMIC_MASS_KG) for a in masses]
+        with pytest.raises(InfeasibleDesignError) as exc:
+            solve_n_path(species, 10.0, max_winding=100)
+        paths = exc.value.report["paths"]
+        assert {s: {k: v for k, v in info.items() if k != "obstruction"}
+                for s, info in paths.items()} == brute_force_n_path(masses, 100)[2]
+
+    def test_obstruction_names_row_and_gcd(self):
+        # N = 5, A_0 = 12: row k = 1 reads 65x = 12s (mod 60), and
+        # gcd(65, 60) = 5 divides 12s for no s = 1..4
+        species = [Species(f"m{a}", a * ATOMIC_MASS_KG) for a in range(12, 17)]
+        with pytest.raises(InfeasibleDesignError) as exc:
+            solve_n_path(species, 10.0)
+        for s in range(1, 5):
+            assert exc.value.report["paths"][s]["obstruction"] == {
+                "type": "congruence", "k": 1, "gcd": 5, "modulus": 60}
+
+    def test_obstruction_names_contradicting_rows(self):
+        # masses 3, 4, 7 (N = 3, mod 9): path 1 needs x = 1 (mod 3) from
+        # row 1 and x = 2 (mod 3) from row 2
+        species = [Species(f"m{a}", a * ATOMIC_MASS_KG) for a in (3, 4, 7)]
+        with pytest.raises(InfeasibleDesignError) as exc:
+            solve_n_path(species, 10.0)
+        assert exc.value.report["paths"][1]["obstruction"] == {
+            "type": "merge", "k": [1, 2], "gcd": 3}
+
+    def test_obstruction_winding_bound(self):
+        # masses 6, 7, 8 sort path 2 at x = 4 with windings (4, 4, 4)
+        species = [Species(f"m{a}", a * ATOMIC_MASS_KG) for a in (6, 7, 8)]
+        assert solve_n_path(species, 10.0, max_winding=4).windings[0][2] == 4
+        with pytest.raises(InfeasibleDesignError) as exc:
+            solve_n_path(species, 10.0, max_winding=3)
+        assert set(exc.value.report["paths"]) == {2}
+        assert exc.value.report["paths"][2]["obstruction"] == {
+            "type": "winding_bound", "x": 4, "max_winding_needed": 4}
+
+    @pytest.mark.parametrize("bounds", [{"max_winding": 0}, {"max_winding": -3},
+                                        {"denom_bound": 0}])
+    def test_bounds_below_one_rejected(self, bounds):
+        species = [Species("a", 6e-26), Species("b", 7e-26)]
+        with pytest.raises(ValueError, match="at least 1"):
+            solve_n_path(species, 10.0, **bounds)
 
     @settings(deadline=None, max_examples=30)
     @given(factor=st.floats(0.01, 100.0, allow_nan=False))

@@ -339,19 +339,28 @@ class TestMonteCarlo:
         design = self._design()
         sigma, trials, seed = 3e-11, 40, 17
         result = monte_carlo_leakage(design, sigma, trials=trials, seed=seed)
-        diagonals = []
+        diagonals, errors = [], []
         for t in range(trials):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
             fluct = PathFluctuation(tuple(rng.normal(0.0, sigma, size=design.n)))
             errs = phases_from_fluctuation(fluct, design.species, design.velocity)
             diagonals.append(np.diag(np.abs(leakage_amplitudes(errs)) ** 2))
+            errors.append(errs.phase_matrix())
         diagonals = np.array(diagonals)
         assert np.abs(np.array(result.mean) - diagonals.mean(axis=0)).max() < 1e-12
         assert np.abs(np.array(result.std) - diagonals.std(axis=0)).max() < 1e-12
         assert min(result.mean) < 1.0 - 1e-6
+        # the batched phase conversion does the per-trial arithmetic exactly
+        kernel = np.diagonal(exit_probabilities(ideal_phases(design.n) + np.array(errors)),
+                             axis1=-2, axis2=-1)
+        assert result.mean == tuple(kernel.mean(axis=0))
+        assert result.std == tuple(kernel.std(axis=0))
 
     def test_validation(self):
         with pytest.raises(ValueError):
             monte_carlo_leakage(self._design(), -1.0, trials=5, seed=0)
         with pytest.raises(ValueError):
             monte_carlo_leakage(self._design(), 1e-10, trials=0, seed=0)
+        for sigma in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                monte_carlo_leakage(self._design(), sigma, trials=5, seed=0)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from interfsort.spectrum import (
 )
 
 M_C12 = 1.99e-26
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def carbonish_leakage(delta=2 * np.pi / 15):
@@ -88,9 +93,30 @@ class TestReconstruct:
         # fractions inconsistent with the leakage model force the constrained path
         leakage = carbonish_leakage(1.0)
         record = CountRecord(total=1000, counts=(0, 0, 1000), seed=0)
+        assert np.linalg.solve(leakage.T, record.fractions()).min() < -1e-12
         a, _ = reconstruct_spectrum(record, leakage)
         assert a.min() >= 0
         assert a.sum() == pytest.approx(1.0, abs=1e-9)
+
+    def test_scipy_loaded_only_by_the_nnls_branch(self):
+        # a fresh process: importing the CLI must not pay for scipy.optimize
+        code = (
+            "import sys\n"
+            "import interfsort.cli\n"
+            "from interfsort.spectrum import CountRecord, reconstruct_spectrum\n"
+            "from interfsort.leakage import PhaseErrorVector, simulate_leakage\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "leak = simulate_leakage(PhaseErrorVector(3, (1.0, 1.0), (1.0, 7 / 6, 8 / 6)))\n"
+            "a, _ = reconstruct_spectrum(CountRecord(1000, (0, 0, 1000), 0), leak)\n"
+            "print(a.min() >= 0, abs(a.sum() - 1) < 1e-9, 'scipy.optimize' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "True True True"]
 
 
 class TestMagneticReference:
@@ -108,6 +134,18 @@ class TestMagneticReference:
             ams_radius(M_C12, 1e5, 0.0, 1.0)
         with pytest.raises(NeutralSpeciesError):
             ams_separation(M_C12, 0.0, M_C12, ELEMENTARY_CHARGE, 1e5, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs_rejected(self, bad):
+        q = ELEMENTARY_CHARGE
+        for args in ((M_C12, bad, q, 1.0), (M_C12, 1e5, q, bad), (M_C12, 1e5, bad, 1.0),
+                     (bad, 1e5, q, 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                ams_radius(*args)
+        for args in ((M_C12, q, M_C12, q, bad, 1.0), (M_C12, q, M_C12, q, 1e5, bad),
+                     (M_C12, bad, M_C12, q, 1e5, 1.0), (M_C12, q, bad, q, 1e5, 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                ams_separation(*args)
 
     def test_carbon_separation(self):
         sep = ams_separation(M_C12, ELEMENTARY_CHARGE, M_C12 * 7 / 6,
