@@ -85,6 +85,13 @@ def reconstruct_spectrum(counts: CountRecord, leakage) -> tuple[np.ndarray, np.n
     only used when the plain solve leaves the simplex.  Uncertainties are
     propagated from the multinomial covariance of the observed fractions.
     """
+    # imported here, not at module level: scipy.optimize is most of the
+    # package's import time and memory, and only unfolding needs it.  It is
+    # imported on every call, not just in the NNLS branch, so that the time
+    # and memory a process spends does not hinge on whether its counts
+    # happen to push the plain solve off the simplex.
+    from scipy.optimize import nnls
+
     p = np.asarray(leakage, dtype=float)
     n = p.shape[0]
     if p.shape != (n, n) or len(counts.counts) != n:
@@ -97,10 +104,6 @@ def reconstruct_spectrum(counts: CountRecord, leakage) -> tuple[np.ndarray, np.n
     f = counts.fractions()
     a = np.linalg.solve(system, f)
     if a.min() < -1e-12:
-        # imported here, not at module level: scipy.optimize is most of the
-        # package's import time and memory, and only this branch needs it
-        from scipy.optimize import nnls
-
         # pin the simplex constraint with a heavily weighted sum row
         weight = 1e6
         stacked = np.vstack([system, weight * np.ones((1, n))])
