@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -145,6 +146,8 @@ def cmd_design(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not (math.isfinite(args.phase_tol) and args.phase_tol >= 0):
+        raise ValueError(f"--phase-tol must be finite and non-negative, got {args.phase_tol}")
     design = load_design(args.design_file)
     residuals = verify_design(design)
     worst = float(np.abs(residuals).max())

@@ -361,6 +361,8 @@ def path_error_budget(wavelengths: list[float], n: int) -> float:
 
 def species_from_obj(obj: dict) -> Species:
     """Parse {name, mass_kg} or {name, mass_u} into a Species."""
+    if not isinstance(obj, dict) or "name" not in obj:
+        raise ValueError(f"a species must be an object with a name, got {obj!r}")
     name = obj["name"]
     if "mass_kg" in obj:
         mass = float(obj["mass_kg"])
@@ -416,4 +418,8 @@ def save_design(design: SorterDesign, path: str | Path) -> None:
 
 
 def load_design(path: str | Path) -> SorterDesign:
-    return design_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: a design file must hold a JSON object, "
+                         f"got {type(data).__name__}")
+    return design_from_dict(data)

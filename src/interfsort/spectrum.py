@@ -7,6 +7,7 @@ comparison against the interferometric sorter.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,9 @@ from .design import species_from_obj
 from .leakage import PathFluctuation, PhaseErrorVector, phases_from_fluctuation, simulate_leakage
 
 CONDITION_LIMIT = 1e8
+KKT_TOL = 1e-10  # on the gradient of the log-likelihood per particle
+MAX_NEWTON_STEPS = 200
+CONFIG_KEYS = ("species", "velocity_mps", "abundances", "total_particles", "seed")
 
 
 class NeutralSpeciesError(ValueError):
@@ -55,13 +59,15 @@ def simulate_counts(abundances, leakage, total: int, seed: int) -> CountRecord:
 
     Sampling is a two-stage categorical draw, aggregated per species for
     speed: species counts ~ multinomial(total, abundances), then each
-    species' exits ~ multinomial over its leakage row.  Fixed seed gives
-    bit-identical counts.
+    species' exits ~ multinomial over its leakage row, all rows in one
+    call.  Fixed seed gives bit-identical counts.
     """
     a = _check_abundances(abundances)
     p = np.asarray(leakage, dtype=float)
     if p.shape != (a.size, a.size):
         raise ValueError(f"dimension mismatch: {a.size} abundances vs leakage {p.shape}")
+    if not np.isfinite(p).all():
+        raise ValueError("leakage entries must be finite")
     if total < 1:
         raise ValueError("need at least one particle")
     if p.min() < -1e-12 or np.abs(p.sum(axis=1) - 1.0).max() > 1e-12:
@@ -71,52 +77,126 @@ def simulate_counts(abundances, leakage, total: int, seed: int) -> CountRecord:
     p = p / p.sum(axis=1, keepdims=True)
     rng = np.random.default_rng(seed)
     per_species = rng.multinomial(total, a)
-    counts = np.zeros(a.size, dtype=np.int64)
-    for k, n_k in enumerate(per_species):
-        counts += rng.multinomial(n_k, p[k])
+    counts = rng.multinomial(per_species, p).sum(axis=0)
     return CountRecord(total=total, counts=tuple(int(c) for c in counts), seed=seed)
 
 
-def reconstruct_spectrum(counts: CountRecord, leakage) -> tuple[np.ndarray, np.ndarray]:
-    """Unfold observed channel fractions into abundances with uncertainties.
+def _ml_on_boundary(system: np.ndarray, f: np.ndarray, total: int,
+                    start: np.ndarray) -> np.ndarray:
+    """Maximise the multinomial likelihood of fractions f over the simplex.
 
-    Solves leakage^T a = f; with a row-stochastic leakage the exact
-    solution already sums to 1, so the non-negativity constrained solve is
-    only used when the plain solve leaves the simplex.  Uncertainties are
-    propagated from the multinomial covariance of the observed fractions.
+    Works on the Poisson form phi(a) = sum_s f_s log q_s - sum(a), q = system @ a,
+    over a >= 0: its maximiser sums to 1, so no sum constraint is needed.
+    Active-set Newton from `start`.  Each step solves the Newton system on
+    the free components and stops where the first of them reaches zero
+    (ratio test, which pins it).  A pinned component is released when its
+    gradient exceeds the tolerance once the free components are stationary.
+    -total * phi is self-concordant, since every seen channel holds at
+    least one count, so a step damped to 1 / (1 + lambda) keeps q > 0 and
+    raises phi.  Steps are full once the Newton decrement lambda is below
+    1/4; above it they backtrack from the full step to at most the damped
+    one.  Returns only a point that meets the KKT conditions to KKT_TOL;
+    raises otherwise.
     """
-    # imported here, not at module level: scipy.optimize is most of the
-    # package's import time and memory, and only unfolding needs it.  It is
-    # imported on every call, not just in the NNLS branch, so that the time
-    # and memory a process spends does not hinge on whether its counts
-    # happen to push the plain solve off the simplex.
-    from scipy.optimize import nnls
+    seen = f > 0  # a channel without counts enters phi only through sum(a)
+    sys_seen, f_seen = system[seen], f[seen]
+    a = start / start.sum()
+    q = sys_seen @ a
+    if not q.min() > 0:  # every species reaching a seen channel was clipped
+        a = (a + 1.0 / a.size) / 2
+        q = sys_seen @ a
+    free = a > 0
+    cols = sys_seen[:, free]
+    for _ in range(MAX_NEWTON_STEPS):
+        ratio = f_seen / q
+        grad = cols.T @ ratio - 1.0
+        if np.abs(grad).max() <= KKT_TOL:
+            pinned_grad = np.where(free, -np.inf, sys_seen.T @ ratio - 1.0)
+            k = int(pinned_grad.argmax())
+            if pinned_grad[k] <= KKT_TOL:
+                return a
+            free[k] = True
+            cols = sys_seen[:, free]
+            grad = cols.T @ ratio - 1.0
+        x = a[free]
+        if x.size > q.size:
+            # more free components than seen channels: phi is linear along
+            # the null space of cols, rising as sum(a) falls, so move along
+            # it until a component reaches zero
+            null = np.linalg.svd(cols)[2][q.size:]
+            step = -null.T @ null.sum(axis=1)
+            if not np.abs(step).max() > 1e-9:  # phi is flat there: any null direction
+                step = null[0] if null[0].min() < 0 else -null[0]
+            t, decrement = np.inf, 0.0
+        else:
+            step = np.linalg.solve((cols.T * (ratio / q)) @ cols, grad)
+            rise = grad @ step
+            t, decrement = 1.0, math.sqrt(max(total * rise, 0.0))
+        limits = np.where(step < 0, x, np.inf) / np.abs(step)
+        block = int(limits.argmin())
+        t = min(t, limits[block])
+        if decrement > 0.25:
+            # backtrack from the full step, never below the damped one
+            floor = 1.0 / (1.0 + decrement)
+            value = f_seen @ np.log(q) - x.sum()
+            while t > floor:
+                trial = np.maximum(x + t * step, 0.0)
+                q_trial = cols @ trial
+                if (q_trial.min() > 0 and f_seen @ np.log(q_trial) - trial.sum()
+                        >= value + 1e-4 * t * rise):
+                    break
+                t = max(t / 2, floor)
+        x = np.maximum(x + t * step, 0.0)
+        if t == limits[block]:
+            x[block] = 0.0
+        a[free] = x
+        q = cols @ x
+        if not x.min() > 0:
+            free = a > 0
+            cols = sys_seen[:, free]
+    raise UnidentifiableLeakageError(
+        f"maximum-likelihood unfolding did not meet its KKT conditions "
+        f"in {MAX_NEWTON_STEPS} Newton steps")
 
+
+def reconstruct_spectrum(counts: CountRecord, leakage) -> tuple[np.ndarray, np.ndarray]:
+    """Unfold channel counts into maximum-likelihood abundances with uncertainties.
+
+    The estimate maximises the multinomial likelihood sum_s n_s log (P^T a)_s
+    over the simplex, with P the row-stochastic leakage matrix.  When the
+    plain solve P^T a = f of the observed fractions lies in the simplex it
+    is that maximum; otherwise an active-set Newton solver in numpy finds
+    it on the boundary.  Uncertainties are the multinomial standard errors
+    at the expected fractions q = P^T a: the q-weighted spread of each row
+    of P^-T over sqrt(total).  On the interior branch q = f.
+    """
     p = np.asarray(leakage, dtype=float)
     n = p.shape[0]
     if p.shape != (n, n) or len(counts.counts) != n:
         raise ValueError("leakage must be square and match the channel count")
     system = p.T
-    if np.linalg.cond(system) > CONDITION_LIMIT:
+    norm = np.abs(system).sum(axis=0).max()
+    if not math.isfinite(norm):
+        raise ValueError("leakage entries must be finite")
+    try:
+        inv = np.linalg.inv(system)
+    except np.linalg.LinAlgError:  # exactly singular
+        inv = None
+    # cond_2 <= n * cond_1, so the SVD decides only near the limit
+    if inv is None or (not n * norm * np.abs(inv).sum(axis=0).max() <= CONDITION_LIMIT
+                       and not np.linalg.cond(system) <= CONDITION_LIMIT):
         raise UnidentifiableLeakageError(
-            "leakage matrix condition number exceeds 1e8; abundances unidentifiable"
-        )
+            "leakage matrix condition number exceeds 1e8; abundances unidentifiable")
     f = counts.fractions()
     a = np.linalg.solve(system, f)
     if a.min() < -1e-12:
-        # pin the simplex constraint with a heavily weighted sum row
-        weight = 1e6
-        stacked = np.vstack([system, weight * np.ones((1, n))])
-        target = np.concatenate([f, [weight]])
-        a, _ = nnls(stacked, target)
-        a = a / a.sum()
+        a = _ml_on_boundary(system, f, counts.total, np.maximum(a, 0.0))
+        q = system @ a
     else:
-        a = np.clip(a, 0.0, None)
-
-    inv = np.linalg.inv(system)
-    cov_f = (np.diag(f) - np.outer(f, f)) / counts.total
-    cov_a = inv @ cov_f @ inv.T
-    sigma = np.sqrt(np.clip(np.diag(cov_a), 0.0, None))
+        a = np.maximum(a, 0.0)
+        q = f
+    mean = inv @ q
+    sigma = np.sqrt(((inv - mean[:, None]) ** 2) @ q / counts.total)
     return a, sigma
 
 
@@ -153,16 +233,33 @@ def run_experiment(config: dict) -> dict:
     abundances, total_particles, seed, errors: {delta_phi_rad: [...] |
     sigma_L_m}}.  The result contains only seed-deterministic fields.
     """
+    if not isinstance(config, dict):
+        raise ValueError(f"a config must be a JSON object, got {type(config).__name__}")
+    missing = [key for key in CONFIG_KEYS if key not in config]
+    if missing:
+        raise ValueError(f"config is missing required key(s): {', '.join(missing)}")
+    if not isinstance(config["species"], list):
+        raise ValueError(f"config key 'species' must be a list, got {config['species']!r}")
     species = tuple(species_from_obj(obj) for obj in config["species"])
     n = len(species)
-    velocity = float(config["velocity_mps"])
+    velocity = config["velocity_mps"]
+    if (isinstance(velocity, bool) or not isinstance(velocity, numbers.Real)
+            or not (math.isfinite(velocity) and velocity > 0)):
+        raise ValueError(f"config key 'velocity_mps' must be a positive finite number, "
+                         f"got {velocity!r}")
+    velocity = float(velocity)
     abundances = _check_abundances(config["abundances"])
     if abundances.size != n:
         raise ValueError(f"dimension mismatch: {n} species vs {abundances.size} abundances")
+    for key in ("total_particles", "seed"):
+        if isinstance(config[key], bool) or not isinstance(config[key], numbers.Integral):
+            raise ValueError(f"config key {key!r} must be an integer, got {config[key]!r}")
     total = int(config["total_particles"])
     seed = int(config["seed"])
 
     errors = config.get("errors") or {}
+    if not isinstance(errors, dict):
+        raise ValueError(f"config key 'errors' must be an object, got {errors!r}")
     m0 = species[0].mass
     ratios = tuple(sp.mass / m0 for sp in species)
     if "delta_phi_rad" in errors:

@@ -138,6 +138,22 @@ class TestVerifyCommand:
         out.write_text(json.dumps(data))
         assert main(["verify", str(out)]) == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_phase_tol_exit_1(self, carbon_file, tmp_path, capsys, tol):
+        out = tmp_path / "design.json"
+        main(["design", str(carbon_file), "--velocity", "100", "--out", str(out)])
+        capsys.readouterr()
+        assert main(["verify", str(out), f"--phase-tol={tol}"]) == 1
+        assert "--phase-tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload", [[1, 2], 5, "design", None])
+    def test_non_object_design_exit_1(self, tmp_path, capsys, payload):
+        path = tmp_path / "listed.json"
+        path.write_text(json.dumps(payload))
+        assert main(["verify", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+
 
 class TestSweepCommand:
     def test_single_origin_point(self, tmp_path):
@@ -221,6 +237,25 @@ class TestSimulateCommand:
         assert main(["simulate", str(config), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "finite" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("change, named", [
+        ({"velocity_mps": None}, "velocity_mps"),
+        ({"total_particles": 1.5}, "total_particles"),
+        ({"seed": 1.7}, "seed"),
+        ({"species": 5}, "species"),
+    ])
+    def test_bad_config_exit_1(self, experiment_file, tmp_path, capsys, change, named):
+        config = json.loads(experiment_file.read_text())
+        config.update(change)
+        config = {k: v for k, v in config.items() if v is not None}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "r.json"
+        assert main(["simulate", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
         assert not out.exists()
 
 
