@@ -19,14 +19,19 @@ from .design import (
     solve_two_species,
     verify_design,
 )
-from .gates import apply, controlled_x, controlled_z, dft_matrix
+from .gates import (
+    apply,
+    controlled_x,
+    controlled_x_err,
+    controlled_z,
+    controlled_z_err,
+    dft_matrix,
+)
 from .leakage import (
     MonteCarloResult,
     PathFluctuation,
     PhaseErrorVector,
     analytic_leakage_n3,
-    controlled_x_err,
-    controlled_z_err,
     design_leakage,
     exit_probabilities,
     monte_carlo_leakage,

@@ -23,6 +23,9 @@ import numpy as np
 from . import __version__
 from .constants import ATOMIC_MASS_KG, ELEMENTARY_CHARGE, PLANCK_H
 from .design import (
+    DEFAULT_DENOM_BOUND,
+    DEFAULT_MAX_WINDING,
+    PHASE_TOL,
     InfeasibleDesignError,
     MmiGeometry,
     NonCommensurableMassesError,
@@ -155,7 +158,7 @@ def cmd_verify(args) -> int:
     for row in residuals:
         print("  " + "  ".join(f"{r: .3e}" for r in row))
     print(f"max |residual| = {worst:.3e} rad (tolerance {args.phase_tol:.1e})")
-    if worst > args.phase_tol:
+    if not worst <= args.phase_tol:  # a NaN residual is invalid too
         print("design INVALID", file=sys.stderr)
         return EXIT_INFEASIBLE
     print("design valid")
@@ -165,8 +168,6 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     started = time.perf_counter()
     ratios = tuple(float(x) for x in args.ratios.split(","))
-    if len(ratios) != args.n:
-        raise ValueError(f"--ratios needs {args.n} values, got {len(ratios)}")
     lo1, hi1 = _parse_range(args.delta1_range)
     lo2, hi2 = _parse_range(args.delta2_range)
     if args.steps < 1:
@@ -176,7 +177,7 @@ def cmd_sweep(args) -> int:
     grid = sweep_leakage(d1s, d2s, ratios)
     write_sweep_csv(args.out, d1s, d2s, grid, all_entries=args.full)
     _write_manifest(args.out, "sweep", {
-        "n": args.n, "ratios": list(ratios),
+        "n": len(ratios), "ratios": list(ratios),
         "delta1_range_rad": [lo1, hi1], "delta2_range_rad": [lo2, hi2],
         "steps": args.steps, "full": args.full,
     }, None, started)
@@ -259,9 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("design", help="solve sorting path lengths for a species list")
     p.add_argument("species_file", help="JSON array of {name, mass_kg|mass_u}")
     p.add_argument("--velocity", type=float, required=True, help="common velocity in m/s")
-    p.add_argument("--max-winding", type=int, default=1000,
+    p.add_argument("--max-winding", type=int, default=DEFAULT_MAX_WINDING,
                    help="bound on the integer phase windings")
-    p.add_argument("--denom-bound", type=int, default=10_000,
+    p.add_argument("--denom-bound", type=int, default=DEFAULT_DENOM_BOUND,
                    help="denominator bound when rationalizing mass ratios")
     p.add_argument("--mmi-width", type=float, default=None,
                    help="coupler width in m; adds coupler length to the design")
@@ -270,14 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check the phase residuals of a design")
     p.add_argument("design_file", help="design JSON written by the design command")
-    p.add_argument("--phase-tol", type=float, default=1e-9,
+    p.add_argument("--phase-tol", type=float, default=PHASE_TOL,
                    help="max allowed residual in rad")
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("sweep", help="exit-probability grid over two phase errors")
-    p.add_argument("--n", type=int, default=3, help="number of species/paths (3)")
     p.add_argument("--ratios", default="1,1,1",
-                   help="comma-separated mass ratios m_k/m_0 (dimensionless)")
+                   help="comma-separated mass ratios m_k/m_0 of the 3 species "
+                        "(dimensionless)")
     p.add_argument("--delta1-range", required=True,
                    help="min,max of the first phase error in rad "
                         "(use --delta1-range=-a,b for negative bounds)")

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -97,6 +99,15 @@ class SorterDesign:
     def n(self) -> int:
         return len(self.species)
 
+    def path_phases(self) -> np.ndarray:
+        """(N, N) accumulated phases 2*pi * dL_s * m_k * v / h, rows = mass k.
+
+        The fields are trusted: they are checked where a design is built
+        (solve_n_path, design_from_dict), not on every call.
+        """
+        masses = np.array([sp.mass for sp in self.species])
+        return phase_shift(np.array(self.delta_lengths), masses[:, None], self.velocity)
+
 
 def de_broglie_wavelength(mass: float, velocity: float) -> float:
     """Matter wavelength h / (m * v)."""
@@ -105,10 +116,14 @@ def de_broglie_wavelength(mass: float, velocity: float) -> float:
     return PLANCK_H / (mass * velocity)
 
 
-def phase_shift(delta_length: float, mass: float, velocity: float) -> float:
-    """Unwrapped phase 2*pi * dL * m * v / h accumulated over a path offset."""
-    if mass <= 0 or not (math.isfinite(velocity) and velocity > 0):
-        raise ValueError(f"mass and velocity must be positive and finite, got {mass}, {velocity}")
+def phase_shift(delta_length, mass, velocity: float):
+    """Unwrapped phase 2*pi * dL * m * v / h accumulated over a path offset.
+
+    Lengths and masses broadcast as numpy arrays.  Only the scalar velocity
+    is checked here; a Species checks its own mass.
+    """
+    if not (math.isfinite(velocity) and velocity > 0):
+        raise ValueError(f"velocity must be positive and finite, got {velocity}")
     return 2.0 * np.pi * delta_length * mass * velocity / PLANCK_H
 
 
@@ -320,18 +335,18 @@ def solve_n_path(
     )
 
 
+def ideal_phases(n: int) -> np.ndarray:
+    """(n, n) sorting phases 2*pi*k*s/N of the ideal sorter, rows = mass k."""
+    return 2.0 * np.pi / n * np.outer(np.arange(n), np.arange(n))
+
+
 def verify_design(design: SorterDesign) -> np.ndarray:
     """Per-(k, s) phase residual, wrapped to [-pi, pi].
 
     Residual r_{k,s} = wrap(2*pi * dL_s * m_k * v / h - 2*pi*k*s/N); the
     design is valid iff max |r| <= PHASE_TOL.
     """
-    n = design.n
-    masses = np.array([sp.mass for sp in design.species])
-    dl = np.array(design.delta_lengths)
-    total = 2.0 * np.pi * np.outer(masses, dl) * design.velocity / PLANCK_H
-    target = 2.0 * np.pi / n * np.outer(np.arange(n), np.arange(n))
-    return wrap_phase(total - target)
+    return wrap_phase(design.path_phases() - ideal_phases(design.n))
 
 
 def distinct_phases_check(n: int, k: int) -> bool:
@@ -358,19 +373,58 @@ def path_error_budget(wavelengths: list[float], n: int) -> float:
 
 
 # --- JSON interfaces -------------------------------------------------------
+#
+# Species, design and simulate-config files are checked here, once, where
+# they are read: every malformed value raises a ValueError naming its field.
+
+def require_keys(obj: dict, keys, what: str) -> None:
+    """Raise naming every key of `keys` that the object `what` lacks."""
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        raise ValueError(f"{what} is missing required key(s): {', '.join(missing)}")
+
+
+def require_number(value, field: str, *, positive: bool = False) -> float:
+    """A finite JSON number (positive if asked) as a float."""
+    # the bounds also refuse NaN and integers too large for a float
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not -sys.float_info.max <= value <= sys.float_info.max
+            or (positive and value <= 0)):
+        kind = "a positive finite number" if positive else "a finite number"
+        raise ValueError(f"{field} must be {kind}, got {value!r}")
+    return float(value)
+
+
+def require_int(value, field: str) -> int:
+    """A JSON integer; floats such as 1.5 or 2.0 are refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
+def require_list(value, field: str, length: int | None = None) -> list:
+    """A JSON array, of the given length if one is given."""
+    if not isinstance(value, list) or (length is not None and len(value) != length):
+        kind = "a list" if length is None else f"a list of {length}"
+        raise ValueError(f"{field} must be {kind}, got {value!r}")
+    return value
+
 
 def species_from_obj(obj: dict) -> Species:
     """Parse {name, mass_kg} or {name, mass_u} into a Species."""
     if not isinstance(obj, dict) or "name" not in obj:
         raise ValueError(f"a species must be an object with a name, got {obj!r}")
     name = obj["name"]
+    if not isinstance(name, str):
+        raise ValueError(f"a species name must be a string, got {name!r}")
     if "mass_kg" in obj:
-        mass = float(obj["mass_kg"])
+        mass = require_number(obj["mass_kg"], f"species {name!r}: mass_kg", positive=True)
     elif "mass_u" in obj:
-        mass = float(obj["mass_u"]) * ATOMIC_MASS_KG
+        mass = require_number(obj["mass_u"], f"species {name!r}: mass_u",
+                              positive=True) * ATOMIC_MASS_KG
     else:
         raise ValueError(f"species {name!r}: need mass_kg or mass_u")
-    return Species(name=str(name), mass=mass)
+    return Species(name=name, mass=mass)
 
 
 def load_species_file(path: str | Path) -> list[Species]:
@@ -398,18 +452,38 @@ def design_to_dict(design: SorterDesign) -> dict:
 
 
 def design_from_dict(data: dict) -> SorterDesign:
+    """Check and parse a design object as design_to_dict writes it."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a design must be a JSON object, got {type(data).__name__}")
+    require_keys(data, ("velocity_mps", "species", "delta_L_m", "windings"), "design")
+    velocity = require_number(data["velocity_mps"], "velocity_mps", positive=True)
+    species = tuple(species_from_obj(obj) for obj in require_list(data["species"], "species"))
+    n = len(species)
+    if n < 1:
+        raise ValueError("species must list at least one species")
+    if "n" in data and require_int(data["n"], "n") != n:
+        raise ValueError(f"n is {data['n']}, but species lists {n}")
+    delta_lengths = tuple(require_number(x, f"delta_L_m[{s}]")
+                          for s, x in enumerate(require_list(data["delta_L_m"], "delta_L_m", n)))
+    windings = tuple(
+        tuple(require_int(w, f"windings[{k}][{s}]")
+              for s, w in enumerate(require_list(row, f"windings[{k}]", n)))
+        for k, row in enumerate(require_list(data["windings"], "windings", n)))
     coupler = None
     if "coupler" in data:
         c = data["coupler"]
-        coupler = MmiGeometry(width=float(c["width_m"]), length=float(c["length_m"]),
-                              ports=int(c["ports"]))
-    return SorterDesign(
-        velocity=float(data["velocity_mps"]),
-        species=tuple(species_from_obj(obj) for obj in data["species"]),
-        delta_lengths=tuple(float(x) for x in data["delta_L_m"]),
-        windings=tuple(tuple(int(w) for w in row) for row in data["windings"]),
-        coupler=coupler,
-    )
+        if not isinstance(c, dict):
+            raise ValueError(f"coupler must be an object, got {c!r}")
+        require_keys(c, ("width_m", "length_m", "ports"), "coupler")
+        ports = require_int(c["ports"], "coupler.ports")
+        if ports < 1:
+            raise ValueError(f"coupler.ports must be at least 1, got {ports}")
+        coupler = MmiGeometry(width=require_number(c["width_m"], "coupler.width_m", positive=True),
+                              length=require_number(c["length_m"], "coupler.length_m",
+                                                    positive=True),
+                              ports=ports)
+    return SorterDesign(velocity=velocity, species=species, delta_lengths=delta_lengths,
+                        windings=windings, coupler=coupler)
 
 
 def save_design(design: SorterDesign, path: str | Path) -> None:
@@ -419,7 +493,7 @@ def save_design(design: SorterDesign, path: str | Path) -> None:
 
 def load_design(path: str | Path) -> SorterDesign:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: a design file must hold a JSON object, "
-                         f"got {type(data).__name__}")
-    return design_from_dict(data)
+    try:
+        return design_from_dict(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

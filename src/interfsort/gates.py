@@ -5,14 +5,17 @@ composite basis is mass-major, flat index = N*k + s for mass index k and
 path index s, both in [0, N).  The N-port coupler uses the Fourier kernel
 omega = exp(+2*pi*i/N).  All gates are dense complex128 arrays: they are
 the circuit picture of the paper and the reference that tests compare
-against.  Exit probabilities are computed without them, by one FFT per
-mass row (leakage.exit_probabilities), since the dense sorter costs
-O(N**6) to build.
+against, for the ideal sorter and for one with phase errors.  Exit
+probabilities are computed without them, by one FFT per mass row
+(leakage.exit_probabilities), since the dense sorter costs O(N**6) to
+build.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .design import ideal_phases
 
 UNITARITY_TOL = 1e-12
 
@@ -45,16 +48,19 @@ def split_index(n: int, flat: int) -> tuple[int, int]:
 def dft_matrix(n: int) -> np.ndarray:
     """N-port coupler unitary: entry (j, k) = omega**(k*j) / sqrt(N)."""
     _check_dim(n)
-    j = np.arange(n)
-    return np.exp(2j * np.pi / n * np.outer(j, j)) / np.sqrt(n)
+    return np.exp(1j * ideal_phases(n)) / np.sqrt(n)
 
 
 def controlled_z(n: int) -> np.ndarray:
     """Mass-controlled phase gate: |k,s> -> omega**(s*k) |k,s>, dim N**2."""
     _check_dim(n)
-    k = np.arange(n)
-    phases = np.exp(2j * np.pi / n * np.outer(k, k)).ravel()
-    return np.diag(phases)
+    return np.diag(np.exp(1j * ideal_phases(n)).ravel())
+
+
+def _fourier_conjugate(n: int, gate: np.ndarray) -> np.ndarray:
+    """(I (x) F^dag) gate (I (x) F): the coupler on either side of a phase gate."""
+    big_f = np.kron(np.eye(n), dft_matrix(n))
+    return big_f.conj().T @ gate @ big_f
 
 
 def controlled_x(n: int) -> np.ndarray:
@@ -63,9 +69,32 @@ def controlled_x(n: int) -> np.ndarray:
     Built through the Fourier conjugation identity
     (I (x) F^dag) CZ (I (x) F) rather than as a raw permutation.
     """
-    f = dft_matrix(n)
-    big_f = np.kron(np.eye(n), f)
-    return big_f.conj().T @ controlled_z(n) @ big_f
+    return _fourier_conjugate(n, controlled_z(n))
+
+
+def controlled_z_err(errs) -> np.ndarray:
+    """Imperfect phase gate: |k,s> -> exp(i*dphi_{k,s}) * omega**(s*k) |k,s>.
+
+    `errs` is a leakage.PhaseErrorVector, or anything with its `n` and
+    `phase_matrix()`.
+    """
+    return np.diag(np.exp(1j * (ideal_phases(errs.n) + errs.phase_matrix())).ravel())
+
+
+def controlled_x_err(errs) -> np.ndarray:
+    """Imperfect sorter (I (x) F^dag) CZ_err (I (x) F); block-diagonal in mass."""
+    return _fourier_conjugate(errs.n, controlled_z_err(errs))
+
+
+def leakage_amplitudes(errs) -> np.ndarray:
+    """Amplitudes c_{k,s} = <k,s| sorter |k,0> as an (n, n) complex array.
+
+    Read off the dense N**2 x N**2 sorter: the reference picture and the
+    test oracle for leakage.exit_probabilities, not a hot path.
+    """
+    n = errs.n
+    cols = controlled_x_err(errs).reshape(n, n, n, n)  # [k_out, s_out, k_in, s_in]
+    return np.stack([cols[k, :, k, 0] for k in range(n)])
 
 
 def apply(gate: np.ndarray, state: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Path-fluctuation errors, imperfect sorter gates and channel leakage.
+"""Path-fluctuation errors and channel leakage.
 
 Only relative phases matter: a common shift of every path leaves the
 sorter unchanged, so the error state is the N-1 base phase errors of
@@ -15,9 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import PLANCK_H
-from .design import Species, SorterDesign
-from .gates import dft_matrix
+from .design import Species, SorterDesign, ideal_phases, phase_shift
 
 
 @dataclass(frozen=True)
@@ -49,21 +47,27 @@ class PhaseErrorVector:
         if not all(np.isfinite(self.mass_ratios)):
             raise ValueError("mass ratios must be finite")
 
-    def phase_error(self, k: int, s: int) -> float:
-        """Phase error of mass k on path s (zero on the reference path)."""
-        if s == 0:
-            return 0.0
-        return self.mass_ratios[k] * self.base_errors[s - 1]
-
     def phase_matrix(self) -> np.ndarray:
         """(n, n) array of phase errors, rows = mass, columns = path."""
-        base = np.concatenate([[0.0], self.base_errors])
-        return np.outer(self.mass_ratios, base)
+        return error_phases(self.base_errors, self.mass_ratios)
+
+
+def error_phases(base_errors, mass_ratios) -> np.ndarray:
+    """Phase error (m_k / m_0) * base_s of mass k on path s, with base_0 = 0.
+
+    `base_errors` holds the reference-mass errors of paths 1..N-1 along its
+    last axis, shape [..., N-1]; the result has shape [..., N, N] (rows =
+    mass, columns = path), ready to add to ideal_phases(N).
+    """
+    base = np.asarray(base_errors, dtype=float)
+    path = np.zeros(base.shape[:-1] + (base.shape[-1] + 1,))
+    path[..., 1:] = base
+    return np.asarray(mass_ratios, dtype=float)[:, None] * path[..., None, :]
 
 
 def _base_phase_errors(d: np.ndarray, m0: float, velocity: float) -> np.ndarray:
     """2*pi * (dL_s - dL_0) * m_0 * v / h for path-length errors dL along the last axis."""
-    return 2.0 * np.pi * (d[..., 1:] - d[..., :1]) * m0 * velocity / PLANCK_H
+    return phase_shift(d[..., 1:] - d[..., :1], m0, velocity)
 
 
 def phases_from_fluctuation(
@@ -87,11 +91,6 @@ def phases_from_fluctuation(
     return PhaseErrorVector(n=n, base_errors=tuple(base), mass_ratios=ratios)
 
 
-def ideal_phases(n: int) -> np.ndarray:
-    """(n, n) sorting phases 2*pi*k*s/N of the ideal gate, rows = mass."""
-    return 2.0 * np.pi / n * np.outer(np.arange(n), np.arange(n))
-
-
 def exit_probabilities(phase) -> np.ndarray:
     """Exit probabilities |c_{k,s}|**2 from the path phases of each mass.
 
@@ -107,30 +106,6 @@ def exit_probabilities(phase) -> np.ndarray:
     return amps.real ** 2 + amps.imag ** 2
 
 
-def controlled_z_err(errs: PhaseErrorVector) -> np.ndarray:
-    """Imperfect phase gate: |k,s> -> exp(i*dphi_{k,s}) * omega**(s*k) |k,s>."""
-    return np.diag(np.exp(1j * (ideal_phases(errs.n) + errs.phase_matrix())).ravel())
-
-
-def controlled_x_err(errs: PhaseErrorVector) -> np.ndarray:
-    """Imperfect sorter (I (x) F^dag) CZ_err (I (x) F); block-diagonal in mass."""
-    f = dft_matrix(errs.n)
-    big_f = np.kron(np.eye(errs.n), f)
-    return big_f.conj().T @ controlled_z_err(errs) @ big_f
-
-
-def leakage_amplitudes(errs: PhaseErrorVector) -> np.ndarray:
-    """Amplitudes c_{k,s} = <k,s| sorter |k,0> as an (n, n) complex array.
-
-    Read off the dense N**2 x N**2 sorter: the reference picture and the
-    test oracle for exit_probabilities, not a hot path.
-    """
-    n = errs.n
-    cx = controlled_x_err(errs)
-    cols = cx.reshape(n, n, n, n)  # [k_out, s_out, k_in, s_in]
-    return np.stack([cols[k, :, k, 0] for k in range(n)])
-
-
 def simulate_leakage(errs: PhaseErrorVector) -> np.ndarray:
     """Row-stochastic exit-probability matrix p_{k,s} = |c_{k,s}|**2."""
     return exit_probabilities(ideal_phases(errs.n) + errs.phase_matrix())
@@ -142,10 +117,7 @@ def design_leakage(design: SorterDesign) -> np.ndarray:
     Uses the full accumulated phases 2*pi * dL_s * m_k * v / h, so any
     residual of an imperfect design shows up as off-diagonal leakage.
     """
-    masses = np.array([sp.mass for sp in design.species])
-    dl = np.array(design.delta_lengths)
-    return exit_probabilities(
-        2.0 * np.pi * np.outer(masses, dl) * design.velocity / PLANCK_H)
+    return exit_probabilities(design.path_phases())
 
 
 def analytic_leakage_n3(
@@ -209,12 +181,8 @@ def sweep_leakage(
         raise ValueError("sweep phase errors must be finite")
     if not np.isfinite(ratios).all():
         raise ValueError("mass ratios must be finite")
-    # base[i, j] = (0, d1_i, d2_j), as PhaseErrorVector.phase_matrix lays it out
-    base = np.zeros((d1s.size, d2s.size, n))
-    base[..., 1] = d1s[:, None]
-    base[..., 2] = d2s[None, :]
-    errors = ratios[:, None] * base[..., None, :]
-    return exit_probabilities(ideal_phases(n) + errors)
+    base = np.stack(np.meshgrid(d1s, d2s, indexing="ij"), axis=-1)
+    return exit_probabilities(ideal_phases(n) + error_phases(base, ratios))
 
 
 def write_sweep_csv(
@@ -229,18 +197,17 @@ def write_sweep_csv(
     d2s = np.atleast_1d(np.asarray(delta2_values, dtype=float))
     n = grid.shape[-1]
     header = ["delta1_rad", "delta2_rad", "p00"]
-    extra = [(k, s) for k in range(n) for s in range(n) if (k, s) != (0, 0)]
+    columns = [*np.meshgrid(d1s, d2s, indexing="ij"), grid[..., 0, 0]]
     if all_entries:
+        extra = [(k, s) for k in range(n) for s in range(n) if (k, s) != (0, 0)]
         header += [f"p{k}{s}" for k, s in extra]
+        columns += [grid[..., k, s] for k, s in extra]
+    # tolist() gives Python floats, which csv writes as their repr
+    rows = np.stack(columns, axis=-1).reshape(-1, len(columns)).tolist()
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i, d1 in enumerate(d1s):
-            for j, d2 in enumerate(d2s):
-                row = [repr(float(d1)), repr(float(d2)), repr(float(grid[i, j, 0, 0]))]
-                if all_entries:
-                    row += [repr(float(grid[i, j, k, s])) for k, s in extra]
-                writer.writerow(row)
+        writer.writerows(rows)
 
 
 @dataclass(frozen=True)
@@ -278,11 +245,12 @@ def monte_carlo_leakage(
         for t in range(trials)
     ])
     m0 = design.species[0].mass
-    ratios = np.array([sp.mass / m0 for sp in design.species])
-    base = np.concatenate([np.zeros((trials, 1)),
-                           _base_phase_errors(lengths, m0, design.velocity)], axis=1)
-    errors = ratios[:, None] * base[:, None, :]
-    probs = exit_probabilities(ideal_phases(n) + errors)
+    ratios = [sp.mass / m0 for sp in design.species]
+    base = _base_phase_errors(lengths, m0, design.velocity)
+    if not np.isfinite(base).all():
+        raise ValueError("path-noise phase errors must be finite; "
+                         "the design's mass and velocity overflow them")
+    probs = exit_probabilities(ideal_phases(n) + error_phases(base, ratios))
     diagonals = np.diagonal(probs, axis1=-2, axis2=-1)
     return MonteCarloResult(
         mean=tuple(diagonals.mean(axis=0)),

@@ -7,17 +7,17 @@ comparison against the interferometric sorter.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .design import species_from_obj
+from .design import require_int, require_keys, require_list, require_number, species_from_obj
 from .leakage import PathFluctuation, PhaseErrorVector, phases_from_fluctuation, simulate_leakage
 
 CONDITION_LIMIT = 1e8
 KKT_TOL = 1e-10  # on the gradient of the log-likelihood per particle
 MAX_NEWTON_STEPS = 200
+MAX_PARTICLES = np.iinfo(np.int64).max  # numpy's multinomial counts are int64
 CONFIG_KEYS = ("species", "velocity_mps", "abundances", "total_particles", "seed")
 
 
@@ -49,7 +49,7 @@ def _check_abundances(abundances) -> np.ndarray:
     a = np.asarray(abundances, dtype=float)
     if a.ndim != 1 or a.size < 1:
         raise ValueError("abundances must be a 1-d vector")
-    if a.min() < 0 or abs(a.sum() - 1.0) > 1e-12:
+    if not (a.min() >= 0 and abs(a.sum() - 1.0) <= 1e-12):  # NaN fails too
         raise ValueError("abundances must be non-negative and sum to 1")
     return a
 
@@ -68,8 +68,8 @@ def simulate_counts(abundances, leakage, total: int, seed: int) -> CountRecord:
         raise ValueError(f"dimension mismatch: {a.size} abundances vs leakage {p.shape}")
     if not np.isfinite(p).all():
         raise ValueError("leakage entries must be finite")
-    if total < 1:
-        raise ValueError("need at least one particle")
+    if not 1 <= total <= MAX_PARTICLES:
+        raise ValueError(f"the number of particles must be 1 to {MAX_PARTICLES}, got {total}")
     if p.min() < -1e-12 or np.abs(p.sum(axis=1) - 1.0).max() > 1e-12:
         raise ValueError("leakage rows must be non-negative and sum to 1")
     # scrub float dust (entries like 1 + 4e-16) that multinomial rejects
@@ -235,38 +235,37 @@ def run_experiment(config: dict) -> dict:
     """
     if not isinstance(config, dict):
         raise ValueError(f"a config must be a JSON object, got {type(config).__name__}")
-    missing = [key for key in CONFIG_KEYS if key not in config]
-    if missing:
-        raise ValueError(f"config is missing required key(s): {', '.join(missing)}")
-    if not isinstance(config["species"], list):
-        raise ValueError(f"config key 'species' must be a list, got {config['species']!r}")
-    species = tuple(species_from_obj(obj) for obj in config["species"])
+    require_keys(config, CONFIG_KEYS, "config")
+    species = tuple(species_from_obj(obj)
+                    for obj in require_list(config["species"], "config key 'species'"))
     n = len(species)
-    velocity = config["velocity_mps"]
-    if (isinstance(velocity, bool) or not isinstance(velocity, numbers.Real)
-            or not (math.isfinite(velocity) and velocity > 0)):
-        raise ValueError(f"config key 'velocity_mps' must be a positive finite number, "
-                         f"got {velocity!r}")
-    velocity = float(velocity)
-    abundances = _check_abundances(config["abundances"])
+    velocity = require_number(config["velocity_mps"], "config key 'velocity_mps'",
+                              positive=True)
+    abundances = _check_abundances([
+        require_number(x, f"abundances[{k}]")
+        for k, x in enumerate(require_list(config["abundances"], "config key 'abundances'"))])
     if abundances.size != n:
         raise ValueError(f"dimension mismatch: {n} species vs {abundances.size} abundances")
-    for key in ("total_particles", "seed"):
-        if isinstance(config[key], bool) or not isinstance(config[key], numbers.Integral):
-            raise ValueError(f"config key {key!r} must be an integer, got {config[key]!r}")
-    total = int(config["total_particles"])
-    seed = int(config["seed"])
+    total = require_int(config["total_particles"], "config key 'total_particles'")
+    seed = require_int(config["seed"], "config key 'seed'")
+    if seed < 0:
+        raise ValueError(f"config key 'seed' must be non-negative, got {seed}")
 
-    errors = config.get("errors") or {}
+    errors = config.get("errors")
+    if errors is None:
+        errors = {}
     if not isinstance(errors, dict):
         raise ValueError(f"config key 'errors' must be an object, got {errors!r}")
     m0 = species[0].mass
     ratios = tuple(sp.mass / m0 for sp in species)
     if "delta_phi_rad" in errors:
-        base = tuple(float(x) for x in errors["delta_phi_rad"])
+        base = tuple(require_number(x, f"errors.delta_phi_rad[{s}]") for s, x in
+                     enumerate(require_list(errors["delta_phi_rad"], "errors.delta_phi_rad")))
         errs = PhaseErrorVector(n=n, base_errors=base, mass_ratios=ratios)
     elif "sigma_L_m" in errors:
-        sigma = float(errors["sigma_L_m"])
+        sigma = require_number(errors["sigma_L_m"], "errors.sigma_L_m")
+        if sigma < 0:
+            raise ValueError(f"errors.sigma_L_m must be non-negative, got {sigma!r}")
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
         fluct = PathFluctuation(tuple(rng.normal(0.0, sigma, size=n)))
         errs = phases_from_fluctuation(fluct, species, velocity)

@@ -1,6 +1,12 @@
+import copy
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interfsort.cli import main
 
@@ -146,6 +152,56 @@ class TestVerifyCommand:
         assert main(["verify", str(out), f"--phase-tol={tol}"]) == 1
         assert "--phase-tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change, named", [
+        ({"velocity_mps": float("nan")}, "velocity_mps"),
+        ({"delta_L_m": [0.0, float("nan")]}, "delta_L_m[1]"),
+        ({"delta_L_m": [0.0, float("inf")]}, "delta_L_m[1]"),
+        ({"delta_L_m": [0.0]}, "delta_L_m"),
+        ({"species": [{"name": "C12", "mass_u": [12]}, {"name": "C14", "mass_u": 14}]},
+         "mass_u"),
+    ])
+    def test_bad_design_field_exit_1(self, carbon_file, tmp_path, capsys, change, named):
+        path = tmp_path / "design.json"
+        main(["design", str(carbon_file), "--velocity", "100", "--out", str(path)])
+        data = json.loads(path.read_text())
+        data.update(change)
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert named in err and str(path) in err and "Traceback" not in err
+
+    def test_short_delta_l_three_species_exit_1(self, tmp_path, capsys):
+        species = tmp_path / "species.json"
+        species.write_text(json.dumps([{"name": f"m{a}", "mass_u": a} for a in (12, 13, 14)]))
+        path = tmp_path / "design.json"
+        main(["design", str(species), "--velocity", "50", "--out", str(path)])
+        data = json.loads(path.read_text())
+        data["delta_L_m"] = data["delta_L_m"][:2]
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "delta_L_m must be a list of 3" in err and "broadcast" not in err
+
+    def test_empty_design_names_missing_keys(self, tmp_path, capsys):
+        path = tmp_path / "design.json"
+        path.write_text("{}")
+        assert main(["verify", str(path)]) == 1
+        assert "velocity_mps, species, delta_L_m, windings" in capsys.readouterr().err
+
+    def test_nan_residual_is_invalid(self, tmp_path, capsys):
+        # m * v overflows, so the residuals are NaN: never "design valid"
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps({
+            "velocity_mps": 1e300, "delta_L_m": [0.0, 1e-9], "windings": [[0, 0], [0, 0]],
+            "species": [{"name": "a", "mass_kg": 1e300}, {"name": "b", "mass_kg": 2e300}],
+        }))
+        with pytest.warns(RuntimeWarning):
+            assert main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "design valid" not in captured.out and "INVALID" in captured.err
+
     @pytest.mark.parametrize("payload", [[1, 2], 5, "design", None])
     def test_non_object_design_exit_1(self, tmp_path, capsys, payload):
         path = tmp_path / "listed.json"
@@ -181,6 +237,20 @@ class TestSweepCommand:
         assert main(["sweep", "--ratios", "1,2", "--delta1-range", "0,0",
                      "--delta2-range", "0,0", "--out", str(tmp_path / "s.csv")]) == 1
 
+    def test_n_option_removed(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--n", "3", "--delta1-range", "0,0", "--delta2-range", "0,0",
+                     "--out", str(out)]) == 1
+        assert "--n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_n_follows_ratios(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--ratios", "1,1.5,2", "--delta1-range", "0,0",
+                     "--delta2-range", "0,0", "--steps", "1", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+        assert manifest["parameters"]["n"] == 3
+
     def test_non_finite_ratio_exit_1(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
         assert main(["sweep", "--ratios", "1,nan,1", "--delta1-range", "0,0",
@@ -201,6 +271,22 @@ class TestMonteCarloCommand:
         assert a.read_bytes() == b.read_bytes()
         payload = json.loads(a.read_text())
         assert len(payload["diagonal_mean"]) == 2
+
+
+class TestMonteCarloBadDesign:
+    def test_nan_velocity_exit_1(self, carbon_file, tmp_path, capsys):
+        design = tmp_path / "design.json"
+        main(["design", str(carbon_file), "--velocity", "100", "--out", str(design)])
+        data = json.loads(design.read_text())
+        data["velocity_mps"] = float("nan")
+        design.write_text(json.dumps(data))
+        out = tmp_path / "mc.json"
+        capsys.readouterr()
+        assert main(["montecarlo", str(design), "--sigma-l", "1e-11", "--trials", "5",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "velocity_mps" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestSimulateCommand:
@@ -245,6 +331,15 @@ class TestSimulateCommand:
         ({"total_particles": 1.5}, "total_particles"),
         ({"seed": 1.7}, "seed"),
         ({"species": 5}, "species"),
+        ({"abundances": {"a": 1}}, "abundances"),
+        ({"abundances": [1.0, float("nan"), 0.0]}, "abundances[1]"),
+        ({"errors": {"delta_phi_rad": [[0.1]]}}, "errors.delta_phi_rad[0]"),
+        ({"errors": {"sigma_L_m": -1}}, "errors.sigma_L_m"),
+        ({"errors": []}, "errors"),
+        ({"seed": -1}, "seed"),
+        ({"total_particles": 10**30}, "particles"),
+        ({"species": [{"name": "C12", "mass_u": [12]}, {"name": "C13", "mass_u": 13},
+                      {"name": "C14", "mass_u": 14}]}, "mass_u"),
     ])
     def test_bad_config_exit_1(self, experiment_file, tmp_path, capsys, change, named):
         config = json.loads(experiment_file.read_text())
@@ -281,6 +376,102 @@ class TestAmsCompareCommand:
         err = capsys.readouterr().err
         assert "finite" in err and "Traceback" not in err
         assert not out.exists()
+
+
+class TestBadSpeciesFile:
+    @pytest.mark.parametrize("command, flags", [
+        ("design", ["--velocity", "100"]),
+        ("ams-compare", ["--velocity", "1e5"]),
+    ])
+    def test_list_mass_exit_1(self, tmp_path, capsys, command, flags):
+        species = tmp_path / "species.json"
+        species.write_text(json.dumps([{"name": "a", "mass_u": [12]}, {"name": "b", "mass_u": 13}]))
+        out = tmp_path / "out.json"
+        assert main([command, str(species), *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "mass_u" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+# --- fuzzing: one field of a valid input file replaced by a bad value ---------
+
+FUZZ_VALUES = [None, True, "x", [], {}, [[0.1]], math.nan, math.inf, -math.inf, -1, 0]
+FUZZ_SPECIES = [{"name": "C12", "mass_u": 12}, {"name": "C13", "mass_u": 13},
+                {"name": "C14", "mass_u": 14}]
+
+
+def _fuzz_documents():
+    """(document, commands) for each input file kind; a command is argv with
+    {file} and {out} placeholders."""
+    with tempfile.TemporaryDirectory() as base:
+        species_path = Path(base) / "species.json"
+        species_path.write_text(json.dumps(FUZZ_SPECIES))
+        design_path = Path(base) / "design.json"
+        assert main(["design", str(species_path), "--velocity", "50", "--mmi-width", "1e-6",
+                     "--out", str(design_path)]) == 0
+        design = json.loads(design_path.read_text())
+    config = {"species": FUZZ_SPECIES, "velocity_mps": 50.0, "abundances": [0.5, 0.3, 0.2],
+              "total_particles": 2000, "seed": 3}
+    return {
+        "species": (FUZZ_SPECIES, [["design", "{file}", "--velocity", "50", "--out", "{out}"],
+                                   ["ams-compare", "{file}", "--velocity", "1e5",
+                                    "--out", "{out}"]]),
+        "design": (design,
+                   [["verify", "{file}"],
+                    ["montecarlo", "{file}", "--sigma-l", "1e-10", "--trials", "20",
+                     "--out", "{out}"]]),
+        "config_phi": ({**config, "errors": {"delta_phi_rad": [0.1, -0.2]}},
+                       [["simulate", "{file}", "--out", "{out}"]]),
+        "config_sigma": ({**config, "errors": {"sigma_L_m": 1e-10}},
+                         [["simulate", "{file}", "--out", "{out}"]]),
+    }
+
+
+FUZZ_DOCUMENTS = _fuzz_documents()
+
+
+def _field_paths(doc, prefix=()):
+    """Every position in a JSON document, the root included."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _field_paths(value, prefix + (key,))
+
+
+FUZZ_TARGETS = [(kind, path) for kind, (doc, _) in FUZZ_DOCUMENTS.items()
+                for path in _field_paths(doc)]
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return copy.deepcopy(value)
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = copy.deepcopy(value)
+    return doc
+
+
+@settings(deadline=None, max_examples=300)
+@given(target=st.sampled_from(FUZZ_TARGETS), value=st.sampled_from(FUZZ_VALUES))
+def test_fuzzed_input_file_never_escapes(target, value):
+    kind, path = target
+    doc, commands = FUZZ_DOCUMENTS[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        file = Path(tmp) / "input.json"
+        file.write_text(json.dumps(_replaced(doc, path, value)))
+        for command in commands:
+            out = Path(tmp) / f"{command[0]}.out"
+            argv = [str(file) if a == "{file}" else str(out) if a == "{out}" else a
+                    for a in command]
+            code = main(argv)  # any exception escaping main fails the test
+            assert code in (0, 1, 2), (argv, code)
+            if code == 1:
+                assert not out.exists(), argv
+            elif out.exists():
+                text = out.read_text()
+                assert "NaN" not in text and "Infinity" not in text, (argv, path, value)
 
 
 class TestHelpAndUsage:

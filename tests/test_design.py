@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -19,12 +20,15 @@ from interfsort.design import (
     design_from_dict,
     design_to_dict,
     distinct_phases_check,
+    ideal_phases,
+    load_design,
     load_species_file,
     mmi_length,
     path_error_budget,
     phase_shift,
     solve_n_path,
     solve_two_species,
+    species_from_obj,
     verify_design,
     wrap_phase,
 )
@@ -153,6 +157,15 @@ class TestWavelengthAndPhase:
     def test_phase_shift_one_wavelength(self):
         lam = de_broglie_wavelength(M_C12, 1.0)
         assert phase_shift(lam, M_C12, 1.0) == pytest.approx(2 * np.pi, rel=1e-12)
+
+    def test_phase_shift_broadcasts_like_scalar_calls(self):
+        lengths = np.array([0.0, 1e-9, 3.7e-8])
+        masses = np.array([M_C12, M_C14, 2.5e-26])
+        grid = phase_shift(lengths, masses[:, None], 42.0)
+        assert grid.shape == (3, 3)
+        for k, m in enumerate(masses):
+            for s, dl in enumerate(lengths):
+                assert grid[k, s] == phase_shift(float(dl), float(m), 42.0)
 
     def test_phase_shift_piezo_step(self):
         # oracle: 2*pi * dL / lambda with lambda computed independently
@@ -358,6 +371,21 @@ class TestVerifyDesign:
         residuals = verify_design(perturbed)
         assert abs(residuals[0, 1]) == pytest.approx(np.pi / n, rel=1e-9)
 
+    def test_ideal_phases_entries(self):
+        for n in (1, 2, 5):
+            phases = ideal_phases(n)
+            for k in range(n):
+                for s in range(n):
+                    assert phases[k, s] == pytest.approx(2 * np.pi * k * s / n, rel=1e-15)
+
+    def test_residual_is_path_phases_minus_ideal(self):
+        design = self._design()
+        expected = [[phase_shift(dl, sp.mass, design.velocity) for dl in design.delta_lengths]
+                    for sp in design.species]
+        assert np.array_equal(design.path_phases(), np.array(expected))
+        assert np.array_equal(verify_design(design),
+                              wrap_phase(design.path_phases() - ideal_phases(design.n)))
+
     def test_zero_length_design(self):
         species = [Species("a", 6e-26), Species("b", 7e-26), Species("c", 8e-26)]
         n = 3
@@ -431,6 +459,52 @@ class TestJsonInterfaces:
         design = solve_n_path(species, 10.0)
         clone = design_from_dict(design_to_dict(design))
         assert clone == design
+
+    @pytest.mark.parametrize("change, named", [
+        ({"velocity_mps": float("nan")}, "velocity_mps"),
+        ({"velocity_mps": 0}, "velocity_mps"),
+        ({"velocity_mps": True}, "velocity_mps"),
+        ({"delta_L_m": [0.0, float("inf")]}, "delta_L_m[1]"),
+        ({"delta_L_m": [0.0]}, "delta_L_m"),
+        ({"delta_L_m": "x"}, "delta_L_m"),
+        ({"windings": [[0, 0], [0, 1.5]]}, "windings[1][1]"),
+        ({"windings": [[0, 0]]}, "windings"),
+        ({"windings": [[0, 0], [0]]}, "windings[1]"),
+        ({"species": {"a": 1}}, "species"),
+        ({"species": []}, "species"),
+        ({"species": [{"name": "a", "mass_u": [12]}, {"name": "b", "mass_u": 13}]}, "mass_u"),
+        ({"coupler": {"width_m": 1e-6, "length_m": -1.0, "ports": 2}}, "coupler.length_m"),
+        ({"coupler": {"width_m": 1e-6, "length_m": 1e-5, "ports": 0}}, "coupler.ports"),
+        ({"coupler": {"width_m": 1e-6}}, "length_m"),
+        ({"coupler": [1]}, "coupler"),
+        ({"n": 3}, "n is 3"),
+        ({"n": "2"}, "n must be an integer"),
+    ])
+    def test_design_fields_checked_at_load(self, tmp_path, change, named):
+        data = design_to_dict(solve_n_path([Species("a", 6e-26), Species("b", 7e-26)], 10.0))
+        data.update(change)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            design_from_dict(data)
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_design(path)
+
+    def test_missing_design_keys_named(self):
+        with pytest.raises(ValueError, match="velocity_mps, species, delta_L_m, windings"):
+            design_from_dict({})
+
+    @pytest.mark.parametrize("obj, named", [
+        ({"name": "a", "mass_u": [12]}, "mass_u"),
+        ({"name": "a", "mass_kg": float("nan")}, "mass_kg"),
+        ({"name": "a", "mass_kg": -1}, "mass_kg"),
+        ({"name": "a", "mass_u": "12"}, "mass_u"),
+        ({"name": "a", "mass_u": 10**400}, "mass_u"),
+        ({"name": None, "mass_u": 12}, "name"),
+    ])
+    def test_species_fields_checked(self, obj, named):
+        with pytest.raises(ValueError, match=named):
+            species_from_obj(obj)
 
     def test_bad_species_entry(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,21 +9,27 @@ from interfsort.design import (
     SorterDesign,
     Species,
     de_broglie_wavelength,
+    ideal_phases,
     phase_shift,
     solve_n_path,
 )
-from interfsort.gates import controlled_x, controlled_z, dft_matrix, is_unitary
+from interfsort.gates import (
+    controlled_x,
+    controlled_x_err,
+    controlled_z,
+    controlled_z_err,
+    dft_matrix,
+    is_unitary,
+    leakage_amplitudes,
+)
 from interfsort.leakage import (
     MonteCarloResult,
     PathFluctuation,
     PhaseErrorVector,
     analytic_leakage_n3,
-    controlled_x_err,
-    controlled_z_err,
     design_leakage,
+    error_phases,
     exit_probabilities,
-    ideal_phases,
-    leakage_amplitudes,
     monte_carlo_leakage,
     phases_from_fluctuation,
     simulate_leakage,
@@ -69,13 +77,28 @@ class TestPhasesFromFluctuation:
         lam0 = de_broglie_wavelength(self.SPECIES[0].mass, 10.0)
         errs = phases_from_fluctuation(
             PathFluctuation((0.0, lam0 / 10, 0.0)), self.SPECIES, 10.0)
-        assert errs.phase_error(1, 1) == pytest.approx(
-            (7 / 6) * errs.phase_error(0, 1), rel=1e-12)
-        assert errs.phase_error(2, 0) == 0.0
+        phase = errs.phase_matrix()
+        assert phase[1, 1] == pytest.approx((7 / 6) * phase[0, 1], rel=1e-12)
+        assert phase[2, 0] == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             phases_from_fluctuation(PathFluctuation((0.0, 1e-9)), self.SPECIES, 10.0)
+
+
+class TestErrorPhases:
+    def test_batch_matches_per_entry_loop(self):
+        rng = np.random.default_rng(12)
+        n = 4
+        base = rng.uniform(-np.pi, np.pi, size=(2, 3, n - 1))
+        ratios = (1.0, *rng.uniform(0.5, 3.0, n - 1))
+        out = error_phases(base, ratios)
+        assert out.shape == (2, 3, n, n)
+        for idx in np.ndindex(2, 3):
+            for k in range(n):
+                assert out[idx][k, 0] == 0.0
+                for s in range(1, n):
+                    assert out[idx][k, s] == ratios[k] * base[idx][s - 1]
 
 
 class TestPhaseErrorValidation:
@@ -269,6 +292,38 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_leakage([], [0.0], (1.0, 1.0, 1.0))
 
+    @staticmethod
+    def _per_cell_csv(path, d1s, d2s, grid, all_entries):
+        """Reference writer: one repr per cell, row by row."""
+        n = grid.shape[-1]
+        extra = [(k, s) for k in range(n) for s in range(n) if (k, s) != (0, 0)]
+        header = ["delta1_rad", "delta2_rad", "p00"]
+        if all_entries:
+            header += [f"p{k}{s}" for k, s in extra]
+        with path.open("w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for i, d1 in enumerate(d1s):
+                for j, d2 in enumerate(d2s):
+                    row = [repr(float(d1)), repr(float(d2)), repr(float(grid[i, j, 0, 0]))]
+                    if all_entries:
+                        row += [repr(float(grid[i, j, k, s])) for k, s in extra]
+                    writer.writerow(row)
+
+    @pytest.mark.parametrize("steps, all_entries, ratios, edge", [
+        (101, False, (1.0, 7 / 6, 8 / 6), 0.42),
+        (57, True, (1.0, 1.23, 0.77), 2.5),
+        (1, True, (1.0, 1.0, 1.0), 0.0),
+    ])
+    def test_csv_matches_per_cell_writer(self, tmp_path, steps, all_entries, ratios, edge):
+        d1s = np.linspace(-edge, edge, steps)
+        d2s = np.linspace(-edge / 2, edge, steps + 3)
+        grid = sweep_leakage(d1s, d2s, ratios)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_sweep_csv(got, d1s, d2s, grid, all_entries=all_entries)
+        self._per_cell_csv(want, d1s, d2s, grid, all_entries)
+        assert got.read_bytes() == want.read_bytes()
+
     def test_grid_matches_per_point_simulation(self):
         ratios = (1.0, 2.37, 0.61)
         d1s = np.linspace(-2.0, 3.0, 6)
@@ -355,6 +410,12 @@ class TestMonteCarlo:
                              axis1=-2, axis2=-1)
         assert result.mean == tuple(kernel.mean(axis=0))
         assert result.std == tuple(kernel.std(axis=0))
+
+    def test_overflowing_phases_rejected(self):
+        species = (Species("a", 1e300), Species("b", 2e300))
+        design = SorterDesign(1e300, species, (0.0, 1e-9), ((0, 0), (0, 0)))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            monte_carlo_leakage(design, 1e-10, trials=3, seed=0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
