@@ -32,6 +32,7 @@ from .design import (
     SorterDesign,
     de_broglie_wavelength,
     design_to_dict,
+    ideal_phases,
     load_design,
     load_species_file,
     mmi_length,
@@ -161,6 +162,13 @@ def cmd_verify(args) -> int:
     if not worst <= args.phase_tol:  # a NaN residual is invalid too
         print("design INVALID", file=sys.stderr)
         return EXIT_INFEASIBLE
+    # the residuals are wrapped, so they cannot see a wrong winding n_ks
+    turns = np.rint((design.path_phases() - ideal_phases(design.n)) / (2.0 * np.pi))
+    for (k, s), turn in np.ndenumerate(turns):
+        if int(turn) != design.windings[k][s]:
+            print(f"design INVALID: windings[{k}][{s}] is {design.windings[k][s]}, "
+                  f"but the path phases wind {int(turn)} times", file=sys.stderr)
+            return EXIT_INFEASIBLE
     print("design valid")
     return EXIT_OK
 
@@ -189,6 +197,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_montecarlo(args) -> int:
     started = time.perf_counter()
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     design = load_design(args.design_file)
     result = monte_carlo_leakage(design, args.sigma_l, args.trials, args.seed)
     payload = {
@@ -330,6 +340,9 @@ def main(argv=None) -> int:
         return EXIT_INFEASIBLE
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

@@ -13,9 +13,12 @@ rows become the linear congruences
     N * A_k * x_s  =  k * s * A_0   (mod N * A_0),
 
 which are solved exactly: a gcd test and a modular inverse per row, then
-a generalized Chinese-remainder merge.  Feasibility is therefore decided
-by arithmetic, and an infeasible path comes with the congruence that
-obstructs it.
+a generalized Chinese-remainder merge.  The right-hand side is linear in
+s, so when path 1 merges into x = r_1 (mod M), path s is x = s*r_1
+(mod M) and the congruences are solved once per design.  The proportions
+A_k come from the continued fraction of each float ratio, in integer
+arithmetic.  Feasibility is therefore decided by arithmetic, and an
+infeasible path comes with the congruence that obstructs it.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -184,31 +186,59 @@ def solve_two_species(
     )
 
 
-def _rationalize_masses(masses: list[float], denom_bound: int) -> list[int]:
+def _limit_denominator(num: int, den: int, bound: int) -> tuple[int, int]:
+    """Closest p/q to num/den with q <= bound, as Fraction.limit_denominator picks it.
+
+    num/den is non-negative and in lowest terms.  The best approximations
+    are the convergents and semiconvergents of its continued fraction; of
+    the best lower and upper ones within the bound, the closer wins, and a
+    tie goes to the convergent p1/q1.
+    """
+    if den <= bound:
+        return num, den
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > bound:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (bound - q0) // q1
+    p2, q2 = p0 + k * p1, q0 + k * q1
+    # |p1/q1 - num/den| <= |p2/q2 - num/den|, multiplied through by q1*q2*den
+    if abs(p1 * den - num * q1) * q2 <= abs(p2 * den - num * q2) * q1:
+        return p1, q1
+    return p2, q2
+
+
+def _rationalize_masses(species: tuple[Species, ...], denom_bound: int) -> list[int]:
     """Integer proportions A_k with m_k / m_0 = A_k / A_0 within RATIO_REL_TOL."""
+    m0 = species[0].mass
     fracs = []
-    for m in masses:
-        r = m / masses[0]
-        f = Fraction(r).limit_denominator(denom_bound)
-        if f <= 0 or abs(float(f) - r) > RATIO_REL_TOL * r:
+    for sp in species:
+        r = sp.mass / m0
+        if not math.isfinite(r):
+            raise ValueError(f"species {sp.name!r}: mass ratio to species {species[0].name!r} "
+                             f"({sp.mass!r} kg / {m0!r} kg) overflows a float")
+        p, q = _limit_denominator(*r.as_integer_ratio(), denom_bound)
+        if p <= 0 or abs(p / q - r) > RATIO_REL_TOL * r:
             raise NonCommensurableMassesError(
                 f"mass ratio {r!r} has no rational approximation with denominator "
                 f"<= {denom_bound} within relative tolerance {RATIO_REL_TOL}"
             )
-        fracs.append(f)
-    common = math.lcm(*(f.denominator for f in fracs))
-    return [int(f * common) for f in fracs]
+        fracs.append((p, q))
+    common = math.lcm(*(q for _, q in fracs))
+    return [p * (common // q) for p, q in fracs]
 
 
-def _solve_path(a: list[int], s: int, max_winding: int) -> tuple[int | None, dict | None]:
-    """Smallest x in 1..max_winding that sorts path s, or what prevents one.
+def _path_residue(a: list[int], s: int) -> tuple[tuple[int, int] | None, dict | None]:
+    """All x solving path s's congruences as (r, M), x = r (mod M), or what prevents one.
 
     Mass k needs N*A_k*x = k*s*A_0 (mod N*A_0).  Each row is solved with a
     gcd test and a modular inverse, and the rows are merged into one
-    x = r (mod M) by the generalized Chinese remainder theorem.  Every
-    winding t_k(x) = (N*A_k*x - k*s*A_0) / (N*A_0) grows with x, so the
-    bound |t_k| <= max_winding keeps an interval of x, and the answer is
-    the first x = r (mod M) inside it.
+    x = r (mod M), 0 <= r < M, by the generalized Chinese remainder theorem.
     """
     n = len(a)
     mod = n * a[0]
@@ -232,7 +262,19 @@ def _solve_path(a: list[int], s: int, max_winding: int) -> tuple[int | None, dic
             return None, {"type": "merge", "k": [j, k], "gcd": g_jk}
         u = (r_k - r) // g * pow(m // g, -1, m_k // g) % (m_k // g)
         r, m = r + m * u, m // g * m_k
+    return (r, m), None
 
+
+def _bounded_solution(a: list[int], s: int, r: int, m: int,
+                      max_winding: int) -> tuple[int | None, dict | None]:
+    """Smallest x = r (mod m) in 1..max_winding within the winding bound, or the obstruction.
+
+    Every winding t_k(x) = (N*A_k*x - k*s*A_0) / (N*A_0) grows with x, so
+    the bound |t_k| <= max_winding keeps an interval of x, and the answer
+    is the first x = r (mod m) inside it.
+    """
+    n = len(a)
+    mod = n * a[0]
     lo, hi = 1, max_winding
     for k in range(1, n):
         c, b = n * a[k], k * s * a[0]
@@ -297,7 +339,7 @@ def solve_n_path(
     if not (math.isfinite(velocity) and velocity > 0):
         raise ValueError(f"velocity must be positive and finite, got {velocity}")
 
-    proportions = _rationalize_masses(masses, denom_bound)
+    proportions = _rationalize_masses(species, denom_bound)
     a0 = proportions[0]
     lam0 = de_broglie_wavelength(masses[0], velocity)
 
@@ -305,9 +347,19 @@ def solve_n_path(
     windings = [[0] * n for _ in range(n)]
     infeasible: dict[int, dict] = {}
 
+    # row k's right-hand side k*s*A_0 is linear in s: when path 1 merges into
+    # x = r_1 (mod M), path s is x = s*r_1 (mod M), the residue its own merge
+    # gives; only when path 1 has none does each path need its own obstruction
+    first = _path_residue(proportions, 1)
     for s in range(1, n):
-        x, obstruction = _solve_path(proportions, s, max_winding)
-        if x is None:
+        if first[0] is not None:
+            r1, m = first[0]
+            residue, obstruction = (s * r1 % m, m), None
+        else:
+            residue, obstruction = first if s == 1 else _path_residue(proportions, s)
+        if residue is not None:
+            x, obstruction = _bounded_solution(proportions, s, *residue, max_winding)
+        if obstruction is not None:
             residual = _min_residual_cycles(proportions, s, max_winding)
             infeasible[s] = {
                 "min_residual_cycles": residual,

@@ -209,7 +209,11 @@ def ams_radius(mass: float, velocity: float, charge: float, b_field: float) -> f
     if not all(math.isfinite(x) and x > 0 for x in (mass, velocity, b_field)):
         raise ValueError(f"mass, velocity and field must be positive and finite, "
                          f"got {mass}, {velocity}, {b_field}")
-    return mass * velocity / (charge * b_field)
+    radius = mass * velocity / (charge * b_field)
+    if not math.isfinite(radius):
+        raise ValueError(f"deflection radius m*v / (q*B) overflows for m = {mass} kg, "
+                         f"v = {velocity} m/s, q = {charge} C, B = {b_field} T")
+    return radius
 
 
 def ams_separation(
@@ -223,7 +227,12 @@ def ams_separation(
     if not all(math.isfinite(x) and x > 0 for x in (m1, m2, velocity, b_field)):
         raise ValueError(f"masses, velocity and field must be positive and finite, "
                          f"got {m1}, {m2}, {velocity}, {b_field}")
-    return velocity / b_field * (m2 / q2 - m1 / q1)
+    separation = velocity / b_field * (m2 / q2 - m1 / q1)
+    if not math.isfinite(separation):
+        raise ValueError(f"radius difference (v/B) * (m2/q2 - m1/q1) overflows for "
+                         f"m1 = {m1} kg, m2 = {m2} kg, q1 = {q1} C, q2 = {q2} C, "
+                         f"v = {velocity} m/s, B = {b_field} T")
+    return separation
 
 
 def run_experiment(config: dict) -> dict:

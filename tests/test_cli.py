@@ -1,6 +1,9 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,7 +13,10 @@ from hypothesis import strategies as st
 
 from interfsort.cli import main
 
+ROOT = Path(__file__).resolve().parents[1]
 M_C12 = 1.99e-26
+# m_1 / m_0 = 1e600 overflows a float
+OVERFLOWING_SPECIES = [{"name": "a", "mass_kg": 1e-300}, {"name": "b", "mass_kg": 1e300}]
 
 
 @pytest.fixture
@@ -129,6 +135,23 @@ class TestDesignCommand:
         assert "velocity" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_overflowing_mass_ratio_exit_1(self, tmp_path, capsys):
+        species = tmp_path / "species.json"
+        species.write_text(json.dumps(OVERFLOWING_SPECIES))
+        out = tmp_path / "design.json"
+        assert main(["design", str(species), "--velocity", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "species 'b'" in err and "overflows" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_underflowing_mass_ratio_exit_2(self, tmp_path, capsys):
+        species = tmp_path / "species.json"
+        species.write_text(json.dumps(OVERFLOWING_SPECIES[::-1]))
+        out = tmp_path / "design.json"
+        assert main(["design", str(species), "--velocity", "1", "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert json.loads(out.read_text())["feasible"] is False
+
 
 class TestVerifyCommand:
     def test_valid_design(self, carbon_file, tmp_path):
@@ -143,6 +166,21 @@ class TestVerifyCommand:
         data["delta_L_m"][1] *= 1.01
         out.write_text(json.dumps(data))
         assert main(["verify", str(out)]) == 2
+
+    def test_wrong_winding_invalid(self, tmp_path, capsys):
+        species = tmp_path / "species.json"
+        species.write_text(json.dumps([{"name": f"C{a}", "mass_u": a} for a in (12, 13, 14)]))
+        path = tmp_path / "design.json"
+        assert main(["design", str(species), "--velocity", "100", "--out", str(path)]) == 0
+        data = json.loads(path.read_text())
+        data["windings"][1][2] = -1
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "design valid" not in captured.out
+        assert "design INVALID: windings[1][2] is -1" in captured.err
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_bad_phase_tol_exit_1(self, carbon_file, tmp_path, capsys, tol):
@@ -258,6 +296,30 @@ class TestSweepCommand:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_out_of_memory_exit_1(self, tmp_path):
+        # a 100000 x 100000 grid needs 75 GiB per array; the address-space
+        # limit makes the allocation fail at once whatever memory the host has
+        pytest.importorskip("resource")
+        out = tmp_path / "x.csv"
+        code = (
+            "import resource, sys\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "soft = 4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
+            "from interfsort.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "sweep", "--delta1-range", "0,1",
+             "--delta2-range", "0,1", "--steps", "100000", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert "out of memory" in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
+
 
 class TestMonteCarloCommand:
     def test_runs_and_reproduces(self, carbon_file, tmp_path):
@@ -271,6 +333,17 @@ class TestMonteCarloCommand:
         assert a.read_bytes() == b.read_bytes()
         payload = json.loads(a.read_text())
         assert len(payload["diagonal_mean"]) == 2
+
+    def test_negative_seed_names_flag(self, carbon_file, tmp_path, capsys):
+        design = tmp_path / "design.json"
+        main(["design", str(carbon_file), "--velocity", "100", "--out", str(design)])
+        out = tmp_path / "mc.json"
+        capsys.readouterr()
+        assert main(["montecarlo", str(design), "--sigma-l", "1e-10", "--seed", "-1",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "--seed" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestMonteCarloBadDesign:
@@ -375,6 +448,16 @@ class TestAmsCompareCommand:
         assert main(["ams-compare", str(carbon_file), *flags, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "finite" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_infinite_radius_exit_1(self, tmp_path, capsys):
+        species = tmp_path / "species.json"
+        species.write_text(json.dumps(OVERFLOWING_SPECIES))
+        out = tmp_path / "ams.json"
+        assert main(["ams-compare", str(species), "--velocity", "1", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "overflows" in captured.err and "Traceback" not in captured.err
+        assert "inf" not in captured.out
         assert not out.exists()
 
 

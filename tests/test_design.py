@@ -352,6 +352,61 @@ class TestNPath:
             assert a == pytest.approx(b / factor, rel=1e-12)
 
 
+
+def farey_neighbours(x, bound):
+    """Closest fractions below and above x with denominator <= bound, by brute force."""
+    lower = max(Fraction(math.floor(x * q), q) for q in range(1, bound + 1))
+    upper = min(Fraction(math.ceil(x * q), q) for q in range(1, bound + 1))
+    return lower, upper
+
+
+class TestIntegerSolver:
+    def test_limit_denominator_matches_fraction(self):
+        rng = random.Random(17)
+        cases = []
+        for _ in range(10_000):  # float ratios, as the solver rationalizes them
+            r = rng.choice([rng.uniform(1e-3, 1e3), rng.randint(1, 400) / rng.randint(1, 400)])
+            cases.append((*r.as_integer_ratio(), rng.choice([1, 50, 10_000, 10**6,
+                                                              rng.randint(1, 10**6)])))
+        # every fraction num/den <= 3 with den <= 24 at every bound 1..den + 1:
+        # den <= bound, bound 1 and the exact ties midway between the two candidates
+        ties = 0
+        for den in range(1, 25):
+            for num in range(3 * den + 1):
+                if math.gcd(num, den) != 1:
+                    continue
+                for bound in range(1, den + 2):
+                    cases.append((num, den, bound))
+                    if den > bound:
+                        lower, upper = farey_neighbours(Fraction(num, den), bound)
+                        ties += Fraction(num, den) - lower == upper - Fraction(num, den)
+        assert len(cases) > 15_000 and ties > 100
+        for num, den, bound in cases:
+            f = Fraction(num, den).limit_denominator(bound)
+            assert design_module._limit_denominator(num, den, bound) == (
+                f.numerator, f.denominator), (num, den, bound)
+
+    def test_path_s_residue_is_s_times_path_1(self):
+        checked = 0
+        for masses in random_mass_sets(3, 400):
+            species = tuple(Species(f"m{m}", m * ATOMIC_MASS_KG) for m in masses)
+            a = design_module._rationalize_masses(species, 10_000)
+            first, _ = design_module._path_residue(a, 1)
+            if first is None:
+                continue
+            r1, m = first
+            for s in range(1, len(a)):
+                assert design_module._path_residue(a, s) == ((s * r1 % m, m), None), masses
+            checked += 1
+        assert checked >= 100
+
+    def test_overflowing_mass_ratio_names_species(self):
+        species = [Species("light", 1e-300), Species("heavy", 1e300)]
+        with pytest.raises(ValueError, match="'heavy'.*overflows") as exc:
+            solve_n_path(species, 1.0)
+        assert not isinstance(exc.value, NonCommensurableMassesError)
+
+
 class TestVerifyDesign:
     def _design(self):
         species = [Species("a", 6e-26), Species("b", 7e-26), Species("c", 8e-26)]
