@@ -4,7 +4,9 @@ Subcommands: design, verify, sweep, montecarlo, simulate, ams-compare.
 All quantities are SI: masses in kg (or unified atomic mass units in
 species files via mass_u), velocities in m/s, lengths in m, phases in rad.
 Every output file gets a sibling <file>.manifest.json sufficient to
-reproduce it bit-exactly.
+reproduce it bit-exactly.  numpy is loaded by the commands that compute
+arrays (verify, sweep, montecarlo, simulate); design, unless the design is
+infeasible, and ams-compare run without it.
 
 Exit codes: 0 success, 1 usage or input error, 2 infeasible design.
 """
@@ -18,9 +20,8 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
+from .ams import ams_radius, ams_separation
 from .constants import ATOMIC_MASS_KG, ELEMENTARY_CHARGE, PLANCK_H
 from .design import (
     DEFAULT_DENOM_BOUND,
@@ -41,7 +42,7 @@ from .design import (
     verify_design,
 )
 from .leakage import monte_carlo_leakage, sweep_leakage, write_sweep_csv
-from .spectrum import ams_radius, ams_separation, run_experiment
+from .spectrum import run_experiment
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -150,6 +151,8 @@ def cmd_design(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import numpy as np
+
     if not (math.isfinite(args.phase_tol) and args.phase_tol >= 0):
         raise ValueError(f"--phase-tol must be finite and non-negative, got {args.phase_tol}")
     design = load_design(args.design_file)
@@ -174,6 +177,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    import numpy as np
+
     started = time.perf_counter()
     ratios = tuple(float(x) for x in args.ratios.split(","))
     lo1, hi1 = _parse_range(args.delta1_range)

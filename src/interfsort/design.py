@@ -29,10 +29,12 @@ import numbers
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .constants import ATOMIC_MASS_KG, PLANCK_H
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PHASE_TOL = 1e-9           # rad; max residual for a design to count as valid
 RATIO_REL_TOL = 1e-9       # relative tolerance when rationalizing mass ratios
@@ -107,6 +109,8 @@ class SorterDesign:
         The fields are trusted: they are checked where a design is built
         (solve_n_path, design_from_dict), not on every call.
         """
+        import numpy as np
+
         masses = np.array([sp.mass for sp in self.species])
         return phase_shift(np.array(self.delta_lengths), masses[:, None], self.velocity)
 
@@ -126,11 +130,13 @@ def phase_shift(delta_length, mass, velocity: float):
     """
     if not (math.isfinite(velocity) and velocity > 0):
         raise ValueError(f"velocity must be positive and finite, got {velocity}")
-    return 2.0 * np.pi * delta_length * mass * velocity / PLANCK_H
+    return 2.0 * math.pi * delta_length * mass * velocity / PLANCK_H
 
 
 def wrap_phase(phi):
     """Wrap phases to [-pi, pi]."""
+    import numpy as np
+
     phi = np.asarray(phi, dtype=float)
     return phi - 2.0 * np.pi * np.round(phi / (2.0 * np.pi))
 
@@ -219,9 +225,10 @@ def _rationalize_masses(species: tuple[Species, ...], denom_bound: int) -> list[
     fracs = []
     for sp in species:
         r = sp.mass / m0
-        if not math.isfinite(r):
+        if not (math.isfinite(r) and r > 0):
+            problem = "overflows a float" if r else "underflows to 0"
             raise ValueError(f"species {sp.name!r}: mass ratio to species {species[0].name!r} "
-                             f"({sp.mass!r} kg / {m0!r} kg) overflows a float")
+                             f"({sp.mass!r} kg / {m0!r} kg) {problem}")
         p, q = _limit_denominator(*r.as_integer_ratio(), denom_bound)
         if p <= 0 or abs(p / q - r) > RATIO_REL_TOL * r:
             raise NonCommensurableMassesError(
@@ -294,6 +301,8 @@ def _min_residual_cycles(a: list[int], s: int, max_winding: int) -> float:
     The distances repeat with period N*A_0 in x, so longer ranges add
     nothing; the scan runs in blocks to bound memory.
     """
+    import numpy as np
+
     n = len(a)
     mod = n * a[0]
     stop = min(max_winding, mod)
@@ -363,7 +372,7 @@ def solve_n_path(
             residual = _min_residual_cycles(proportions, s, max_winding)
             infeasible[s] = {
                 "min_residual_cycles": residual,
-                "min_residual_rad": 2.0 * np.pi * residual,
+                "min_residual_rad": 2.0 * math.pi * residual,
                 "obstruction": obstruction,
             }
             continue
@@ -389,6 +398,8 @@ def solve_n_path(
 
 def ideal_phases(n: int) -> np.ndarray:
     """(n, n) sorting phases 2*pi*k*s/N of the ideal sorter, rows = mass k."""
+    import numpy as np
+
     return 2.0 * np.pi / n * np.outer(np.arange(n), np.arange(n))
 
 

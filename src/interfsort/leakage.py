@@ -12,10 +12,12 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .design import Species, SorterDesign, ideal_phases, phase_shift
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -25,6 +27,8 @@ class PathFluctuation:
     delta_lengths: tuple[float, ...]
 
     def __post_init__(self):
+        import numpy as np
+
         if not all(np.isfinite(self.delta_lengths)):
             raise ValueError("path fluctuations must be finite")
 
@@ -38,6 +42,8 @@ class PhaseErrorVector:
     mass_ratios: tuple[float, ...]   # m_k / m_0, entry 0 == 1
 
     def __post_init__(self):
+        import numpy as np
+
         if len(self.base_errors) != self.n - 1:
             raise ValueError(f"need {self.n - 1} base errors, got {len(self.base_errors)}")
         if len(self.mass_ratios) != self.n:
@@ -59,6 +65,8 @@ def error_phases(base_errors, mass_ratios) -> np.ndarray:
     last axis, shape [..., N-1]; the result has shape [..., N, N] (rows =
     mass, columns = path), ready to add to ideal_phases(N).
     """
+    import numpy as np
+
     base = np.asarray(base_errors, dtype=float)
     path = np.zeros(base.shape[:-1] + (base.shape[-1] + 1,))
     path[..., 1:] = base
@@ -80,6 +88,8 @@ def phases_from_fluctuation(
     base[s] = 2*pi * (dL_s - dL_0) * m_0 * v / h; a uniform fluctuation of
     all paths therefore maps to the zero vector.
     """
+    import numpy as np
+
     n = len(species)
     if n < 2:
         raise ValueError("need at least 2 species")
@@ -99,6 +109,8 @@ def exit_probabilities(phase) -> np.ndarray:
     c_{k,s} = fft(exp(i*phi_k))[s] / N.  `phase` has shape [..., N, N]
     (rows = mass, columns = path); leading axes are a batch.
     """
+    import numpy as np
+
     phase = np.asarray(phase, dtype=float)
     if phase.ndim < 2 or phase.shape[-1] != phase.shape[-2]:
         raise ValueError(f"phase must have shape [..., N, N], got {phase.shape}")
@@ -132,6 +144,8 @@ def analytic_leakage_n3(
     out termwise, and the mass-0 probabilities come from the cosine form
     p_{0,s} = 1/3 + (2/9) * [three shifted cosines].
     """
+    import numpy as np
+
     w = np.exp(2j * np.pi / 3)
     d1p, d2p = delta1 * ratio1, delta2 * ratio1
     d1pp, d2pp = delta1 * ratio2, delta2 * ratio2
@@ -169,6 +183,8 @@ def sweep_leakage(
     Returns shape (len(delta1), len(delta2), n, n); the exit-0 probability
     of mass 0 is grid[..., 0, 0].
     """
+    import numpy as np
+
     d1s = np.atleast_1d(np.asarray(delta1_values, dtype=float))
     d2s = np.atleast_1d(np.asarray(delta2_values, dtype=float))
     if d1s.size == 0 or d2s.size == 0:
@@ -193,6 +209,8 @@ def write_sweep_csv(
     all_entries: bool = False,
 ) -> None:
     """Write a sweep grid row-major as delta1_rad,delta2_rad,p00[,p_ks...]."""
+    import numpy as np
+
     d1s = np.atleast_1d(np.asarray(delta1_values, dtype=float))
     d2s = np.atleast_1d(np.asarray(delta2_values, dtype=float))
     n = grid.shape[-1]
@@ -231,19 +249,22 @@ def monte_carlo_leakage(
 
     Each trial uses an RNG stream derived from (seed, trial index), so a
     parallel split over trials would reproduce the serial result.  The
-    draws are stacked and turned into phase errors in one batch, with the
-    arithmetic of phases_from_fluctuation and PhaseErrorVector.phase_matrix.
+    draws fill one array, allocated before the first draw so that a trial
+    count too large for memory fails at once, and are turned into phase
+    errors in one batch, with the arithmetic of phases_from_fluctuation and
+    PhaseErrorVector.phase_matrix.
     """
+    import numpy as np
+
     if trials < 1:
         raise ValueError("need at least one trial")
     if not (math.isfinite(sigma_length) and sigma_length >= 0):
         raise ValueError(f"sigma must be non-negative and finite, got {sigma_length}")
     n = design.n
-    lengths = np.stack([
-        np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
-        .normal(0.0, sigma_length, size=n)
-        for t in range(trials)
-    ])
+    lengths = np.empty((trials, n))
+    for t in range(trials):
+        lengths[t] = (np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
+                      .normal(0.0, sigma_length, size=n))
     m0 = design.species[0].mass
     ratios = [sp.mass / m0 for sp in design.species]
     base = _base_phase_errors(lengths, m0, design.velocity)

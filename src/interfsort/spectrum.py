@@ -1,28 +1,22 @@
-"""End-to-end acquisition: abundances -> imperfect sorter -> counts -> spectrum.
-
-Also houses the magnetic-deflection reference formulas used for
-comparison against the interferometric sorter.
-"""
+"""End-to-end acquisition: abundances -> imperfect sorter -> counts -> spectrum."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .design import require_int, require_keys, require_list, require_number, species_from_obj
 from .leakage import PathFluctuation, PhaseErrorVector, phases_from_fluctuation, simulate_leakage
 
+if TYPE_CHECKING:
+    import numpy as np
+
 CONDITION_LIMIT = 1e8
 KKT_TOL = 1e-10  # on the gradient of the log-likelihood per particle
 MAX_NEWTON_STEPS = 200
-MAX_PARTICLES = np.iinfo(np.int64).max  # numpy's multinomial counts are int64
+MAX_PARTICLES = 2**63 - 1  # numpy's multinomial counts are int64
 CONFIG_KEYS = ("species", "velocity_mps", "abundances", "total_particles", "seed")
-
-
-class NeutralSpeciesError(ValueError):
-    """Magnetic deflection cannot separate uncharged species."""
 
 
 class UnidentifiableLeakageError(ValueError):
@@ -42,10 +36,14 @@ class CountRecord:
             raise ValueError("counts must sum to the total particle number")
 
     def fractions(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(self.counts, dtype=float) / self.total
 
 
 def _check_abundances(abundances) -> np.ndarray:
+    import numpy as np
+
     a = np.asarray(abundances, dtype=float)
     if a.ndim != 1 or a.size < 1:
         raise ValueError("abundances must be a 1-d vector")
@@ -62,6 +60,8 @@ def simulate_counts(abundances, leakage, total: int, seed: int) -> CountRecord:
     species' exits ~ multinomial over its leakage row, all rows in one
     call.  Fixed seed gives bit-identical counts.
     """
+    import numpy as np
+
     a = _check_abundances(abundances)
     p = np.asarray(leakage, dtype=float)
     if p.shape != (a.size, a.size):
@@ -98,6 +98,8 @@ def _ml_on_boundary(system: np.ndarray, f: np.ndarray, total: int,
     one.  Returns only a point that meets the KKT conditions to KKT_TOL;
     raises otherwise.
     """
+    import numpy as np
+
     seen = f > 0  # a channel without counts enters phi only through sum(a)
     sys_seen, f_seen = system[seen], f[seen]
     a = start / start.sum()
@@ -170,6 +172,8 @@ def reconstruct_spectrum(counts: CountRecord, leakage) -> tuple[np.ndarray, np.n
     at the expected fractions q = P^T a: the q-weighted spread of each row
     of P^-T over sqrt(total).  On the interior branch q = f.
     """
+    import numpy as np
+
     p = np.asarray(leakage, dtype=float)
     n = p.shape[0]
     if p.shape != (n, n) or len(counts.counts) != n:
@@ -200,41 +204,6 @@ def reconstruct_spectrum(counts: CountRecord, leakage) -> tuple[np.ndarray, np.n
     return a, sigma
 
 
-def ams_radius(mass: float, velocity: float, charge: float, b_field: float) -> float:
-    """Deflection radius m*v / (q*B) of a charged species."""
-    if charge == 0:
-        raise NeutralSpeciesError("magnetic deflection cannot separate neutral species")
-    if not math.isfinite(charge):
-        raise ValueError(f"charge must be finite, got {charge}")
-    if not all(math.isfinite(x) and x > 0 for x in (mass, velocity, b_field)):
-        raise ValueError(f"mass, velocity and field must be positive and finite, "
-                         f"got {mass}, {velocity}, {b_field}")
-    radius = mass * velocity / (charge * b_field)
-    if not math.isfinite(radius):
-        raise ValueError(f"deflection radius m*v / (q*B) overflows for m = {mass} kg, "
-                         f"v = {velocity} m/s, q = {charge} C, B = {b_field} T")
-    return radius
-
-
-def ams_separation(
-    m1: float, q1: float, m2: float, q2: float, velocity: float, b_field: float
-) -> float:
-    """Radius difference (v/B) * (m2/q2 - m1/q1); species separation is twice this."""
-    if q1 == 0 or q2 == 0:
-        raise NeutralSpeciesError("magnetic deflection cannot separate neutral species")
-    if not (math.isfinite(q1) and math.isfinite(q2)):
-        raise ValueError(f"charges must be finite, got {q1}, {q2}")
-    if not all(math.isfinite(x) and x > 0 for x in (m1, m2, velocity, b_field)):
-        raise ValueError(f"masses, velocity and field must be positive and finite, "
-                         f"got {m1}, {m2}, {velocity}, {b_field}")
-    separation = velocity / b_field * (m2 / q2 - m1 / q1)
-    if not math.isfinite(separation):
-        raise ValueError(f"radius difference (v/B) * (m2/q2 - m1/q1) overflows for "
-                         f"m1 = {m1} kg, m2 = {m2} kg, q1 = {q1} C, q2 = {q2} C, "
-                         f"v = {velocity} m/s, B = {b_field} T")
-    return separation
-
-
 def run_experiment(config: dict) -> dict:
     """Run the full acquisition pipeline from a config dict.
 
@@ -242,6 +211,8 @@ def run_experiment(config: dict) -> dict:
     abundances, total_particles, seed, errors: {delta_phi_rad: [...] |
     sigma_L_m}}.  The result contains only seed-deterministic fields.
     """
+    import numpy as np
+
     if not isinstance(config, dict):
         raise ValueError(f"a config must be a JSON object, got {type(config).__name__}")
     require_keys(config, CONFIG_KEYS, "config")

@@ -19,6 +19,27 @@ M_C12 = 1.99e-26
 OVERFLOWING_SPECIES = [{"name": "a", "mass_kg": 1e-300}, {"name": "b", "mass_kg": 1e300}]
 
 
+def run_under_4gib(argv):
+    """Run the CLI in a child process whose address space is capped at 4 GiB.
+
+    An allocation beyond the cap fails at once, whatever memory the host has.
+    """
+    pytest.importorskip("resource")
+    code = (
+        "import resource, sys\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "soft = 4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
+        "from interfsort.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 @pytest.fixture
 def carbon_file(tmp_path):
     path = tmp_path / "carbon.json"
@@ -144,13 +165,14 @@ class TestDesignCommand:
         assert "species 'b'" in err and "overflows" in err and "Traceback" not in err
         assert not out.exists()
 
-    def test_underflowing_mass_ratio_exit_2(self, tmp_path, capsys):
+    def test_underflowing_mass_ratio_exit_1(self, tmp_path, capsys):
         species = tmp_path / "species.json"
         species.write_text(json.dumps(OVERFLOWING_SPECIES[::-1]))
         out = tmp_path / "design.json"
-        assert main(["design", str(species), "--velocity", "1", "--out", str(out)]) == 2
-        assert "Traceback" not in capsys.readouterr().err
-        assert json.loads(out.read_text())["feasible"] is False
+        assert main(["design", str(species), "--velocity", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "species 'a'" in err and "underflows" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestVerifyCommand:
@@ -297,25 +319,10 @@ class TestSweepCommand:
         assert not out.exists()
 
     def test_out_of_memory_exit_1(self, tmp_path):
-        # a 100000 x 100000 grid needs 75 GiB per array; the address-space
-        # limit makes the allocation fail at once whatever memory the host has
-        pytest.importorskip("resource")
+        # a 100000 x 100000 grid needs 75 GiB per array
         out = tmp_path / "x.csv"
-        code = (
-            "import resource, sys\n"
-            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
-            "soft = 4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard)\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
-            "from interfsort.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n"
-        )
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-c", code, "sweep", "--delta1-range", "0,1",
-             "--delta2-range", "0,1", "--steps", "100000", "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=120)
+        proc = run_under_4gib(["sweep", "--delta1-range", "0,1", "--delta2-range", "0,1",
+                               "--steps", "100000", "--out", str(out)])
         assert proc.returncode == 1, proc.stderr
         assert "out of memory" in proc.stderr and "Traceback" not in proc.stderr
         assert not out.exists()
@@ -343,6 +350,17 @@ class TestMonteCarloCommand:
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "--seed" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_out_of_memory_exit_1(self, carbon_file, tmp_path):
+        # the draws of 1e11 trials need 1.5 TiB, refused before the first one
+        design = tmp_path / "design.json"
+        main(["design", str(carbon_file), "--velocity", "100", "--out", str(design)])
+        out = tmp_path / "mc.json"
+        proc = run_under_4gib(["montecarlo", str(design), "--sigma-l", "1e-10",
+                               "--trials", "100000000000", "--out", str(out)])
+        assert proc.returncode == 1, proc.stderr
+        assert "out of memory" in proc.stderr and "Traceback" not in proc.stderr
         assert not out.exists()
 
 

@@ -10,14 +10,12 @@ import numpy as np
 import pytest
 
 from interfsort import spectrum
+from interfsort.ams import NeutralSpeciesError, ams_radius, ams_separation
 from interfsort.constants import ELEMENTARY_CHARGE
 from interfsort.leakage import PhaseErrorVector, simulate_leakage
 from interfsort.spectrum import (
     CountRecord,
-    NeutralSpeciesError,
     UnidentifiableLeakageError,
-    ams_radius,
-    ams_separation,
     reconstruct_spectrum,
     run_experiment,
     simulate_counts,
