@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage or input error, 2 infeasible design.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -29,8 +30,6 @@ from .design import (
     PHASE_TOL,
     InfeasibleDesignError,
     MmiGeometry,
-    NonCommensurableMassesError,
-    SorterDesign,
     de_broglie_wavelength,
     design_to_dict,
     ideal_phases,
@@ -111,29 +110,28 @@ def cmd_design(args) -> int:
         "denom_bound": args.denom_bound,
         "mmi_width_m": args.mmi_width,
     }
+    coupler = None
+    if args.mmi_width is not None:
+        # built before solving, so that no file records a width it refuses
+        lam_min = min(de_broglie_wavelength(sp.mass, args.velocity) for sp in species)
+        coupler = MmiGeometry(width=args.mmi_width,
+                              length=mmi_length(args.mmi_width, lam_min, len(species)),
+                              ports=len(species))
     try:
         design = solve_n_path(species, args.velocity,
                               max_winding=args.max_winding,
                               denom_bound=args.denom_bound)
-    except (InfeasibleDesignError, NonCommensurableMassesError) as exc:
-        report = getattr(exc, "report", {})
-        _write_json(args.out, {"feasible": False, "reason": str(exc), "report": report})
+    except InfeasibleDesignError as exc:
+        _write_json(args.out, {"feasible": False, "reason": str(exc), "report": exc.report})
         _write_manifest(args.out, "design", params, None, started)
         print(f"infeasible: {exc}", file=sys.stderr)
-        for s, info in report.get("paths", {}).items():
+        for s, info in exc.report.get("paths", {}).items():
             print(f"  path {s}: min residual {info['min_residual_rad']:.3e} rad; "
                   f"{_describe_obstruction(info['obstruction'])}", file=sys.stderr)
         return EXIT_INFEASIBLE
 
-    if args.mmi_width is not None:
-        lam_min = min(de_broglie_wavelength(sp.mass, args.velocity) for sp in species)
-        design = SorterDesign(
-            velocity=design.velocity, species=design.species,
-            delta_lengths=design.delta_lengths, windings=design.windings,
-            coupler=MmiGeometry(width=args.mmi_width,
-                                length=mmi_length(args.mmi_width, lam_min, design.n),
-                                ports=design.n),
-        )
+    if coupler is not None:
+        design = dataclasses.replace(design, coupler=coupler)
     save_design(design, args.out)
     _write_manifest(args.out, "design", params, None, started)
 
@@ -340,7 +338,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (InfeasibleDesignError, NonCommensurableMassesError) as exc:
+    except InfeasibleDesignError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:

@@ -43,21 +43,21 @@ DEFAULT_DENOM_BOUND = 10_000
 _RESIDUAL_BLOCK = 1 << 16  # x values per block of the residual scan
 
 
-class NonCommensurableMassesError(ValueError):
-    """Mass ratios admit no rational approximation within the denominator bound."""
-
-
 class InfeasibleDesignError(ValueError):
     """No winding solution exists within the search bounds.
 
-    `report` carries the best approximation found (per-path minimal
-    residuals for the N-path solver, best odd/even integer pair for the
-    two-species solver).
+    `report["paths"][s]` carries each infeasible path's obstruction and its
+    minimal residual over the winding range.
     """
 
     def __init__(self, message: str, report: dict | None = None):
         super().__init__(message)
         self.report = report or {}
+
+
+class NonCommensurableMassesError(InfeasibleDesignError):
+    """An infeasible design: a mass ratio has no rational approximation within
+    the denominator bound.  Its report is empty."""
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,11 @@ def de_broglie_wavelength(mass: float, velocity: float) -> float:
     """Matter wavelength h / (m * v)."""
     if mass <= 0 or not (math.isfinite(velocity) and velocity > 0):
         raise ValueError(f"mass and velocity must be positive and finite, got {mass}, {velocity}")
-    return PLANCK_H / (mass * velocity)
+    momentum = mass * velocity
+    if not momentum > 0:
+        raise ValueError(f"momentum of mass {mass!r} kg at velocity {velocity!r} m/s "
+                         f"underflows to 0")
+    return PLANCK_H / momentum
 
 
 def phase_shift(delta_length, mass, velocity: float):
@@ -150,46 +154,18 @@ def solve_two_species(
     """Smallest (k1, k2) with m1/m2 = 2*k1 / (2*k2 + 1), dL = k1 * lambda_1.
 
     Species 1 then exits one port (phase multiple of 2*pi) and species 2
-    the other (odd multiple of pi).  Raises InfeasibleDesignError with the
-    best rational approximation when no pair exists within max_k.
+    the other (odd multiple of pi): path 1 of the N = 2 sorter, with
+    k1 = n_{0,1} and k2 = n_{1,1}.  Every such ratio m2/m1 = (2*k2 + 1) / (2*k1)
+    has a denominator of at most 2*max_k, which is the rationalization bound.
+    Raises InfeasibleDesignError, with solve_n_path's report, when no pair
+    exists within max_k.
     """
-    if not all(math.isfinite(x) and x > 0 for x in (m1, m2, velocity)):
-        raise ValueError(f"masses and velocity must be positive and finite, "
-                         f"got {m1}, {m2}, {velocity}")
-    if m1 == m2:
-        raise ValueError("species masses must differ")
-    ratio = m1 / m2
-    best = None  # (rel_error, k1, k2)
-    for k1 in range(1, max_k + 1):
-        t = 2.0 * k1 / ratio
-        t_odd = 2 * round((t - 1.0) / 2.0) + 1
-        if t_odd < 1:
-            continue
-        k2 = (t_odd - 1) // 2
-        if k2 > max_k:
-            continue
-        rel = abs(2.0 * k1 / t_odd - ratio) / ratio
-        if best is None or rel < best[0]:
-            best = (rel, k1, k2)
-        if rel <= RATIO_REL_TOL:
-            lam1 = de_broglie_wavelength(m1, velocity)
-            delta_length = k1 * lam1
-            phases = (
-                phase_shift(delta_length, m1, velocity),
-                phase_shift(delta_length, m2, velocity),
-            )
-            return TwoSpeciesSolution(k1=k1, k2=k2, delta_length=delta_length, phases=phases)
-    report = {}
-    if best is not None:
-        report = {
-            "best_k1": best[1],
-            "best_k2": best[2],
-            "best_ratio": 2.0 * best[1] / (2.0 * best[2] + 1),
-            "relative_error": best[0],
-        }
-    raise InfeasibleDesignError(
-        f"no odd/even pair matches mass ratio {ratio!r} within max_k={max_k}", report
-    )
+    design = solve_n_path([Species("m1", m1), Species("m2", m2)], velocity,
+                          max_winding=max_k, denom_bound=2 * max_k)
+    delta_length = design.delta_lengths[1]
+    phases = (phase_shift(delta_length, m1, velocity), phase_shift(delta_length, m2, velocity))
+    return TwoSpeciesSolution(k1=design.windings[0][1], k2=design.windings[1][1],
+                              delta_length=delta_length, phases=phases)
 
 
 def _limit_denominator(num: int, den: int, bound: int) -> tuple[int, int]:
@@ -420,10 +396,18 @@ def distinct_phases_check(n: int, k: int) -> bool:
 
 
 def mmi_length(width: float, wavelength: float, n: int) -> float:
-    """Self-imaging coupler length 4*W**2 / (lambda * N)."""
-    if width <= 0 or wavelength <= 0 or n < 1:
-        raise ValueError("width, wavelength and port count must be positive")
-    return 4.0 * width**2 / (wavelength * n)
+    """Self-imaging coupler length 4*W**2 / (lambda * N), refused unless positive and finite."""
+    if not (0 < width < math.inf and 0 < wavelength < math.inf and n >= 1):
+        raise ValueError(f"width and wavelength must be positive and finite and the port "
+                         f"count positive, got {width}, {wavelength}, {n}")
+    try:
+        length = 4.0 * width**2 / (wavelength * n)
+    except OverflowError:  # width**2 past the float range
+        length = math.inf
+    if not 0 < length < math.inf:
+        raise ValueError(f"coupler length 4*W**2/(lambda*N) is {length} m for W = {width} m, "
+                         f"lambda = {wavelength} m, N = {n}")
+    return length
 
 
 def path_error_budget(wavelengths: list[float], n: int) -> float:

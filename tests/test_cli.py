@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interfsort.cli import main
+from interfsort.design import load_design
 
 ROOT = Path(__file__).resolve().parents[1]
 M_C12 = 1.99e-26
@@ -573,6 +574,41 @@ def test_fuzzed_input_file_never_escapes(target, value):
             elif out.exists():
                 text = out.read_text()
                 assert "NaN" not in text and "Infinity" not in text, (argv, path, value)
+
+
+# --- fuzzing: one numeric flag of design set to a bad value ------------------
+
+FLAG_FUZZ_VALUES = ["nan", "inf", "-inf", "0", "-1", "-1e300", "1e-320", "1e300", str(10**30)]
+FLAG_FUZZ_SPECIES = {
+    "feasible": FUZZ_SPECIES,
+    "infeasible": [{"name": f"m{a}", "mass_u": a} for a in range(12, 17)],
+    "non_commensurable": [{"name": "a", "mass_u": 1.0}, {"name": "b", "mass_u": math.sqrt(2)}],
+}
+FLAG_FUZZ_DEFAULTS = {"--velocity": "50", "--mmi-width": "1e-6"}
+
+
+@settings(deadline=None, max_examples=300)
+@given(species=st.sampled_from(sorted(FLAG_FUZZ_SPECIES)),
+       flag=st.sampled_from(["--velocity", "--mmi-width", "--max-winding", "--denom-bound"]),
+       value=st.sampled_from(FLAG_FUZZ_VALUES))
+def test_fuzzed_design_flag_never_escapes(species, flag, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        file = Path(tmp) / "species.json"
+        file.write_text(json.dumps(FLAG_FUZZ_SPECIES[species]))
+        out = Path(tmp) / "design.json"
+        flags = {**FLAG_FUZZ_DEFAULTS, flag: value}
+        argv = ["design", str(file), "--out", str(out),
+                *(f"{name}={v}" for name, v in flags.items())]
+        code = main(argv)  # any exception escaping main fails the test
+        assert code in (0, 1, 2), (argv, code)
+        written = sorted(Path(tmp).glob("design.json*"))
+        if code == 1:
+            assert not written, argv
+        for path in written:
+            text = path.read_text()
+            assert "NaN" not in text and "Infinity" not in text, (argv, path.name)
+        if code == 0:
+            load_design(out)  # what design writes, verify can read
 
 
 class TestHelpAndUsage:

@@ -83,6 +83,51 @@ def brute_force_n_path(masses_u, max_winding):
     return (None, None, infeasible) if infeasible else (xs, windings, None)
 
 
+def two_species_loop(m1, m2, velocity, max_k):
+    """The float search solve_two_species ran before it became the N = 2 case
+    of solve_n_path: the first k1 = 1..max_k whose nearest odd 2*k2 + 1 gives
+    m1/m2 = 2*k1 / (2*k2 + 1) within RATIO_REL_TOL, as (k1, k2, dL, phases),
+    or None."""
+    ratio = m1 / m2
+    for k1 in range(1, max_k + 1):
+        t = 2.0 * k1 / ratio
+        t_odd = 2 * round((t - 1.0) / 2.0) + 1
+        if t_odd < 1:
+            continue
+        k2 = (t_odd - 1) // 2
+        if k2 > max_k:
+            continue
+        if abs(2.0 * k1 / t_odd - ratio) / ratio <= design_module.RATIO_REL_TOL:
+            delta_length = k1 * de_broglie_wavelength(m1, velocity)
+            phases = (phase_shift(delta_length, m1, velocity),
+                      phase_shift(delta_length, m2, velocity))
+            return k1, k2, delta_length, phases
+    return None
+
+
+def two_species_cases(seed, count):
+    """Seeded (m1, m2, velocity, max_k): exact 2*k1/(2*k2 + 1) ratios, the same
+    perturbed by up to 3e-9, random p/q and random irrational ratios."""
+    rng = random.Random(seed)
+    cases = []
+    for i in range(count):
+        max_k = (1, 3, 10, 100, 1000)[i % 5]
+        m1 = ATOMIC_MASS_KG * rng.uniform(0.5, 50.0)
+        kind = i // 5 % 4
+        if kind < 2:
+            k1, k2 = rng.randint(1, max_k + 2), rng.randint(0, max_k + 2)
+            m2 = m1 * (2 * k2 + 1) / (2 * k1)
+            if kind == 1:
+                m2 *= 1.0 + rng.uniform(-3e-9, 3e-9)
+        elif kind == 2:
+            p, q = rng.sample(range(1, 2 * max_k + 4), 2)
+            m2 = m1 * p / q
+        else:
+            m2 = m1 * rng.uniform(0.1, 10.0)
+        cases.append((m1, m2, rng.uniform(0.5, 500.0), max_k))
+    return cases
+
+
 def random_mass_sets(seed, count):
     """Seeded integer mass sets, N = 2..7; half built feasible as A_k = k*d (mod A_0)."""
     rng = random.Random(seed)
@@ -151,6 +196,10 @@ class TestWavelengthAndPhase:
         with pytest.raises(ValueError):
             phase_shift(1e-9, M_C12, 0.0)
 
+    def test_underflowing_momentum_names_mass_and_velocity(self):
+        with pytest.raises(ValueError, match=r"1\.99e-26 kg at velocity 1e-320 m/s underflows"):
+            de_broglie_wavelength(M_C12, 1e-320)
+
     def test_phase_shift_zero(self):
         assert phase_shift(0.0, M_C12, 1.0) == 0.0
 
@@ -198,7 +247,54 @@ class TestTwoSpecies:
     def test_irrational_ratio_infeasible(self):
         with pytest.raises(InfeasibleDesignError) as exc:
             solve_two_species(1e-26, math.sqrt(2) * 1e-26, 1.0, max_k=10)
-        assert "best_k1" in exc.value.report
+        assert isinstance(exc.value, NonCommensurableMassesError)
+        assert exc.value.report == {}
+
+    @pytest.mark.parametrize("m1, m2, obstruction", [
+        # 2*x = 3 (mod 6) has no solution: gcd 2 does not divide 3
+        (3, 1, "congruence"),
+        # m1/m2 = 2/23 needs k2 = 11
+        (2, 23, "winding_bound"),
+    ])
+    def test_infeasible_ratio_names_obstruction(self, m1, m2, obstruction):
+        with pytest.raises(InfeasibleDesignError) as exc:
+            solve_two_species(m1 * 1e-26, m2 * 1e-26, 1.0, max_k=10)
+        assert not isinstance(exc.value, NonCommensurableMassesError)
+        assert exc.value.report["paths"][1]["obstruction"]["type"] == obstruction
+
+    def test_matches_float_search(self):
+        cases = [*two_species_cases(11, 5000),
+                 (15998 * ATOMIC_MASS_KG, 14001 * ATOMIC_MASS_KG, 30.0, 8000)]
+        feasible = 0
+        for m1, m2, velocity, max_k in cases:
+            expected = two_species_loop(m1, m2, velocity, max_k)
+            try:
+                sol = solve_two_species(m1, m2, velocity, max_k=max_k)
+            except InfeasibleDesignError:
+                assert expected is None, (m1, m2, max_k)
+                continue
+            assert expected is not None, (m1, m2, max_k)
+            # delta_length and phases bit for bit
+            assert (sol.k1, sol.k2, sol.delta_length, sol.phases) == expected, (m1, m2, max_k)
+            feasible += 1
+        assert 1000 < feasible < len(cases) - 1000
+
+    def test_denominator_bound_follows_max_k(self):
+        # m2/m1 = 14001/15998 is the pair (7999, 7000); under the default bound
+        # of 10 000 no fraction comes within the tolerance of it
+        m1, m2 = 15998 * ATOMIC_MASS_KG, 14001 * ATOMIC_MASS_KG
+        sol = solve_two_species(m1, m2, 30.0, max_k=8000)
+        assert (sol.k1, sol.k2) == (7999, 7000)
+        with pytest.raises(NonCommensurableMassesError):
+            solve_n_path([Species("m1", m1), Species("m2", m2)], 30.0, max_winding=8000)
+        # m2/m1 = 101/100 needs a denominator of 100 > 2*max_k
+        with pytest.raises(NonCommensurableMassesError):
+            solve_two_species(100e-26, 101e-26, 1.0, max_k=10)
+
+    def test_max_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match="at least 1") as exc:
+            solve_two_species(M_C12, M_C14, 100.0, max_k=0)
+        assert not isinstance(exc.value, InfeasibleDesignError)
 
     def test_equal_masses_rejected(self):
         with pytest.raises(ValueError):
@@ -487,6 +583,17 @@ class TestGeometry:
     def test_halved_wavelength_doubles_length(self):
         lam = de_broglie_wavelength(M_C12, 2.0)  # v = 2 m/s halves lambda
         assert mmi_length(1e-6, lam, 5) == pytest.approx(48e-6, rel=0.02)
+
+    @pytest.mark.parametrize("width, wavelength", [
+        (math.nan, 1e-10), (math.inf, 1e-10), (0.0, 1e-10), (-1e-6, 1e-10),
+        (1e-6, math.nan), (1e-6, math.inf), (1e-6, 0.0),
+        (1e300, 1e-10),   # width**2 overflows
+        (1e-6, 1e-322),   # the quotient overflows
+        (1e-320, 1e-10),  # the length underflows to 0
+    ])
+    def test_coupler_length_positive_and_finite(self, width, wavelength):
+        with pytest.raises(ValueError):
+            mmi_length(width, wavelength, 5)
 
     def test_error_budget(self):
         lam = de_broglie_wavelength(M_C12, 1.0)
