@@ -126,7 +126,8 @@ def cmd_design(args) -> int:
         _write_manifest(args.out, "design", params, None, started)
         print(f"infeasible: {exc}", file=sys.stderr)
         for s, info in exc.report.get("paths", {}).items():
-            print(f"  path {s}: min residual {info['min_residual_rad']:.3e} rad; "
+            print(f"  path {s}: min residual {info['min_residual_rad']:.3e} rad over "
+                  f"x <= {exc.report['residual_x_max']}; "
                   f"{_describe_obstruction(info['obstruction'])}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

@@ -40,14 +40,15 @@ PHASE_TOL = 1e-9           # rad; max residual for a design to count as valid
 RATIO_REL_TOL = 1e-9       # relative tolerance when rationalizing mass ratios
 DEFAULT_MAX_WINDING = 1000
 DEFAULT_DENOM_BOUND = 10_000
-_RESIDUAL_BLOCK = 1 << 16  # x values per block of the residual scan
+_RESIDUAL_BLOCK = 1 << 16   # residues per block of the residual scan
+_RESIDUAL_BUDGET = 1 << 24  # residues per residual scan, over all blocks
 
 
 class InfeasibleDesignError(ValueError):
     """No winding solution exists within the search bounds.
 
     `report["paths"][s]` carries each infeasible path's obstruction and its
-    minimal residual over the winding range.
+    minimal residual over x = 1..report["residual_x_max"].
     """
 
     def __init__(self, message: str, report: dict | None = None):
@@ -271,28 +272,37 @@ def _bounded_solution(a: list[int], s: int, r: int, m: int,
     return x, None
 
 
-def _min_residual_cycles(a: list[int], s: int, max_winding: int) -> float:
-    """min over x = 1..max_winding of max over k of t_k(x)'s distance to an integer.
+def _min_residual_cycles(a: list[int], paths: list[int],
+                         max_winding: int) -> tuple[list[float], int]:
+    """Per path s: min over x = 1..x_max of max over k of t_k(x)'s distance to an integer.
 
     The distances repeat with period N*A_0 in x, so longer ranges add
-    nothing; the scan runs in blocks to bound memory.
+    nothing, and the scan stops early enough that it reads at most
+    _RESIDUAL_BUDGET residues: x_max = min(max_winding, N*A_0, budget / (S*K))
+    for S paths and K = N - 1 rows, returned with the minima.  N*A_k*x mod N*A_0
+    is the same for every path, so it is computed once per block of x and
+    every path is read from one [S, K, X] array of at most _RESIDUAL_BLOCK
+    entries.
     """
     import numpy as np
 
     n = len(a)
     mod = n * a[0]
-    stop = min(max_winding, mod)
+    per_x = len(paths) * (n - 1)
+    stop = min(max_winding, mod, max(1, _RESIDUAL_BUDGET // per_x))
+    step = max(1, _RESIDUAL_BLOCK // per_x)
     coef = [n * a_k for a_k in a[1:]]
-    offset = [k * s * a[0] for k in range(1, n)]
-    dtype = np.int64 if max(coef) * stop + max(offset) < 2**63 else object
+    # k*s*A_0 reduced first, so only N*A_k*x can leave the int64 range
+    offset = [[k * s * a[0] % mod for k in range(1, n)] for s in paths]
+    dtype = np.int64 if max(max(coef) * stop, mod) < 2**63 else object
     coef = np.array(coef, dtype=dtype)[:, None]
-    offset = np.array(offset, dtype=dtype)[:, None]
-    best = mod
-    for first in range(1, stop + 1, _RESIDUAL_BLOCK):
-        x = np.arange(first, min(first + _RESIDUAL_BLOCK, stop + 1)).astype(dtype)
-        rem = (coef * x - offset) % mod
-        best = min(best, int(np.minimum(rem, mod - rem).max(axis=0).min()))
-    return best / mod
+    offset = np.array(offset, dtype=dtype)[:, :, None]
+    best = np.full(len(paths), mod, dtype=dtype)
+    for first in range(1, stop + 1, step):
+        x = np.arange(first, min(first + step, stop + 1)).astype(dtype)
+        rem = (coef * x % mod - offset) % mod
+        best = np.minimum(best, np.minimum(rem, mod - rem).max(axis=1).min(axis=1))
+    return [int(b) / mod for b in best], stop
 
 
 def solve_n_path(
@@ -309,7 +319,8 @@ def solve_n_path(
     are solved exactly (gcd test, then a Chinese-remainder merge), so
     max_winding only bounds the reported windings.  When a path has no
     solution, InfeasibleDesignError.report["paths"][s] carries its
-    obstruction and the smallest worst-row residual over x = 1..max_winding.
+    obstruction and the smallest worst-row residual over x = 1..x_max, where
+    report["residual_x_max"] = x_max <= max_winding bounds the scan's work.
     """
     if max_winding < 1 or denom_bound < 1:
         raise ValueError(f"max_winding and denom_bound must be at least 1, "
@@ -345,12 +356,7 @@ def solve_n_path(
         if residue is not None:
             x, obstruction = _bounded_solution(proportions, s, *residue, max_winding)
         if obstruction is not None:
-            residual = _min_residual_cycles(proportions, s, max_winding)
-            infeasible[s] = {
-                "min_residual_cycles": residual,
-                "min_residual_rad": 2.0 * math.pi * residual,
-                "obstruction": obstruction,
-            }
+            infeasible[s] = obstruction
             continue
         delta_lengths[s] = x * lam0
         windings[0][s] = x
@@ -358,10 +364,15 @@ def solve_n_path(
             windings[k][s] = (n * proportions[k] * x - k * s * a0) // (n * a0)
 
     if infeasible:
+        residuals, x_max = _min_residual_cycles(proportions, list(infeasible), max_winding)
+        paths = {s: {"min_residual_cycles": residual,
+                     "min_residual_rad": 2.0 * math.pi * residual,
+                     "obstruction": obstruction}
+                 for (s, obstruction), residual in zip(infeasible.items(), residuals)}
         raise InfeasibleDesignError(
             f"no winding solution within max_winding={max_winding} for paths "
             f"{sorted(infeasible)}",
-            {"paths": infeasible},
+            {"paths": paths, "residual_x_max": x_max},
         )
 
     return SorterDesign(

@@ -195,10 +195,15 @@ def sweep_leakage(
         raise ValueError("the two-error sweep is defined for 3 paths")
     if not (np.isfinite(d1s).all() and np.isfinite(d2s).all()):
         raise ValueError("sweep phase errors must be finite")
-    if not np.isfinite(ratios).all():
-        raise ValueError("mass ratios must be finite")
+    if not (np.isfinite(ratios).all() and ratios.min() > 0):
+        raise ValueError(f"mass ratios must be positive and finite, got {mass_ratios}")
     base = np.stack(np.meshgrid(d1s, d2s, indexing="ij"), axis=-1)
-    return exit_probabilities(ideal_phases(n) + error_phases(base, ratios))
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        phases = ideal_phases(n) + error_phases(base, ratios)
+    if not np.isfinite(phases).all():
+        raise ValueError("sweep phases (m_k/m_0) * delta overflow a float; "
+                         "narrow the phase ranges or the mass ratios")
+    return exit_probabilities(phases)
 
 
 def write_sweep_csv(

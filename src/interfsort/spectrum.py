@@ -55,10 +55,10 @@ def _check_abundances(abundances) -> np.ndarray:
 def simulate_counts(abundances, leakage, total: int, seed: int) -> CountRecord:
     """Draw detector counts for `total` particles through a leaky sorter.
 
-    Sampling is a two-stage categorical draw, aggregated per species for
-    speed: species counts ~ multinomial(total, abundances), then each
-    species' exits ~ multinomial over its leakage row, all rows in one
-    call.  Fixed seed gives bit-identical counts.
+    Each particle is species k with probability a_k and leaves exit s with
+    probability p_ks, independently, so the exit counts are exactly
+    multinomial(total, q) at the channel probabilities q = P^T a: one draw.
+    Fixed seed gives bit-identical counts.
     """
     import numpy as np
 
@@ -72,12 +72,9 @@ def simulate_counts(abundances, leakage, total: int, seed: int) -> CountRecord:
         raise ValueError(f"the number of particles must be 1 to {MAX_PARTICLES}, got {total}")
     if p.min() < -1e-12 or np.abs(p.sum(axis=1) - 1.0).max() > 1e-12:
         raise ValueError("leakage rows must be non-negative and sum to 1")
-    # scrub float dust (entries like 1 + 4e-16) that multinomial rejects
-    p = np.clip(p, 0.0, 1.0)
-    p = p / p.sum(axis=1, keepdims=True)
-    rng = np.random.default_rng(seed)
-    per_species = rng.multinomial(total, a)
-    counts = rng.multinomial(per_species, p).sum(axis=0)
+    # scrub float dust (a q_s like -1e-17 or 1 + 4e-16) that multinomial rejects
+    q = np.clip(a @ p, 0.0, 1.0)
+    counts = np.random.default_rng(seed).multinomial(total, q / q.sum())
     return CountRecord(total=total, counts=tuple(int(c) for c in counts), seed=seed)
 
 

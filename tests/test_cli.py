@@ -20,25 +20,30 @@ M_C12 = 1.99e-26
 OVERFLOWING_SPECIES = [{"name": "a", "mass_kg": 1e-300}, {"name": "b", "mass_kg": 1e300}]
 
 
+def run_child(argv, setup="", timeout=120):
+    """Run the CLI in a child process, after the Python statements `setup`.
+
+    Its stderr is the real one, so numpy warnings show there.
+    """
+    code = f"import sys\n{setup}from interfsort.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
 def run_under_4gib(argv):
     """Run the CLI in a child process whose address space is capped at 4 GiB.
 
     An allocation beyond the cap fails at once, whatever memory the host has.
     """
     pytest.importorskip("resource")
-    code = (
-        "import resource, sys\n"
+    return run_child(argv, setup=(
+        "import resource\n"
         "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
         "soft = 4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard)\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
-        "from interfsort.cli import main\n"
-        "sys.exit(main(sys.argv[1:]))\n"
-    )
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", code, *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+        "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"))
 
 
 @pytest.fixture
@@ -128,6 +133,22 @@ class TestDesignCommand:
             "type": "congruence", "k": 1, "gcd": 5, "modulus": 60}
         err = capsys.readouterr().err
         assert err.count("row k = 1 has no solution: gcd(N*A_k, N*A_0) = 5") == 4
+
+    def test_huge_max_winding_scans_a_bounded_range(self, tmp_path):
+        # A_0 = 9973 * 9967 * 9949: every path is obstructed by a congruence,
+        # and the residual scan stops well before N*A_0 ~ 4e12 values of x
+        species = tmp_path / "primes.json"
+        species.write_text(json.dumps([{"name": f"m{k}", "mass_u": 1 + k / p}
+                                       for k, p in enumerate((1, 9973, 9967, 9949))]))
+        out = tmp_path / "design.json"
+        proc = run_child(["design", str(species), "--velocity", "10", "--max-winding",
+                          "1" + "0" * 30, "--out", str(out)], timeout=30)
+        assert proc.returncode == 2, proc.stderr
+        report = json.loads(out.read_text())["report"]
+        x_max = report["residual_x_max"]
+        assert 1 <= x_max < 9973 * 9967 * 9949
+        assert set(report["paths"]) == {"1", "2", "3"}
+        assert proc.stderr.count(f"rad over x <= {x_max}; row k = 1 has no solution") == 3
 
     @pytest.mark.parametrize("flag", ["--max-winding", "--denom-bound"])
     def test_bound_below_one_exit_1(self, carbon_file, tmp_path, capsys, flag):
@@ -317,6 +338,21 @@ class TestSweepCommand:
         assert main(["sweep", "--ratios", "1,nan,1", "--delta1-range", "0,0",
                      "--delta2-range", "0,0", "--out", str(out)]) == 1
         assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ratios, delta1, message", [
+        ("1,1e308,1.2", "-1e10,1e10", "overflow"),   # (m_k/m_0) * delta is inf
+        ("1,-1.1,1.2", "-0.1,0.1", "positive"),
+        ("1,0,1.2", "-0.1,0.1", "positive"),
+    ])
+    def test_bad_phase_grid_exit_1(self, tmp_path, ratios, delta1, message):
+        out = tmp_path / "s.csv"
+        proc = run_child(["sweep", "--ratios", ratios, f"--delta1-range={delta1}",
+                          "--delta2-range=-0.1,0.1", "--steps", "2", "--full",
+                          "--out", str(out)])
+        assert proc.returncode == 1, proc.stderr
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
         assert not out.exists()
 
     def test_out_of_memory_exit_1(self, tmp_path):

@@ -391,8 +391,9 @@ class TestNPath:
     @pytest.mark.parametrize("block", [45, 46])
     def test_residual_scan_in_blocks(self, monkeypatch, block):
         # masses 65, 64, 42: path 1's smallest residual over x = 1..100 is at
-        # x = 46 alone, which opens or closes a block of these sizes
-        monkeypatch.setattr(design_module, "_RESIDUAL_BLOCK", block)
+        # x = 46 alone, which opens or closes a block of this many x values;
+        # both paths are infeasible, so each x holds 2 paths * 2 rows residues
+        monkeypatch.setattr(design_module, "_RESIDUAL_BLOCK", 4 * block)
         masses = [65, 64, 42]
         species = [Species(f"m{a}", a * ATOMIC_MASS_KG) for a in masses]
         with pytest.raises(InfeasibleDesignError) as exc:
@@ -400,6 +401,19 @@ class TestNPath:
         paths = exc.value.report["paths"]
         assert {s: {k: v for k, v in info.items() if k != "obstruction"}
                 for s, info in paths.items()} == brute_force_n_path(masses, 100)[2]
+
+    def test_residual_scan_within_budget(self, monkeypatch):
+        # 2 paths * 2 rows residues per x: a budget of 120 stops the scan at
+        # x = 30, below max_winding = 100 and N*A_0 = 195
+        monkeypatch.setattr(design_module, "_RESIDUAL_BUDGET", 120)
+        masses = [65, 64, 42]
+        species = [Species(f"m{a}", a * ATOMIC_MASS_KG) for a in masses]
+        with pytest.raises(InfeasibleDesignError) as exc:
+            solve_n_path(species, 10.0, max_winding=100)
+        assert exc.value.report["residual_x_max"] == 30
+        paths = exc.value.report["paths"]
+        assert {s: {k: v for k, v in info.items() if k != "obstruction"}
+                for s, info in paths.items()} == brute_force_n_path(masses, 30)[2]
 
     def test_obstruction_names_row_and_gcd(self):
         # N = 5, A_0 = 12: row k = 1 reads 65x = 12s (mod 60), and

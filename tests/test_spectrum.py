@@ -31,7 +31,9 @@ def carbonish_leakage(delta=2 * np.pi / 15):
 
 
 def per_species_loop(abundances, leakage, total, seed):
-    """Reference sampler: one multinomial draw over the exits per species."""
+    """Reference sampler: species counts, then one multinomial draw over the
+    exits per species, summed.  A statistical oracle: simulate_counts draws
+    the same distribution from another random stream."""
     p = np.clip(leakage, 0.0, 1.0)
     p = p / p.sum(axis=1, keepdims=True)
     rng = np.random.default_rng(seed)
@@ -75,16 +77,50 @@ class TestSimulateCounts:
             simulate_counts([0.5, 0.5], np.eye(3), 100, seed=0)
 
     @pytest.mark.parametrize("n", [2, 3, 8, 32])
-    def test_matches_per_species_loop(self, n):
+    def test_same_distribution_as_per_species_loop(self, n):
+        # 2000 seeded draws of each sampler: every channel mean within
+        # |z| <= 4.5 of T*q, and every covariance entry within |z| <= 5 of
+        # T*(diag q - q q^T), with the Gaussian standard error of a sample
+        # covariance, sqrt((C_ii C_jj + C_ij^2) / draws)
+        draws, total = 2000, 10**4
         rng = np.random.default_rng(n)
-        for _ in range(20):
-            ratios = (1.0, *np.sort(rng.uniform(1.05, 2.0, n - 1)))
-            leakage = simulate_leakage(PhaseErrorVector(n, tuple(rng.uniform(-0.4, 0.4, n - 1)),
-                                                        ratios))
-            a = rng.dirichlet(np.ones(n))
-            total, seed = int(rng.integers(1, 10**6)), int(rng.integers(2**31))
-            record = simulate_counts(a, leakage, total, seed)
-            assert record.counts == per_species_loop(a, leakage, total, seed)
+        ratios = (1.0, *np.sort(rng.uniform(1.05, 2.0, n - 1)))
+        leakage = simulate_leakage(PhaseErrorVector(n, tuple(rng.uniform(-0.4, 0.4, n - 1)),
+                                                    ratios))
+        a = rng.dirichlet(np.ones(n))
+        q = a @ leakage
+        cov = total * (np.diag(q) - np.outer(q, q))
+        cov_se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / draws)
+        for sampler in (lambda seed: simulate_counts(a, leakage, total, seed).counts,
+                        lambda seed: per_species_loop(a, leakage, total, seed)):
+            counts = np.array([sampler(seed) for seed in range(draws)], dtype=float)
+            mean_z = (counts.mean(axis=0) - total * q) / np.sqrt(np.diag(cov) / draws)
+            cov_z = (np.cov(counts, rowvar=False) - cov) / cov_se
+            assert np.abs(mean_z).max() <= 4.5
+            assert np.abs(cov_z).max() <= 5.0
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**31 - 1])
+    def test_one_multinomial_at_channel_probabilities(self, seed):
+        # with P = I the channel probabilities are the abundances themselves
+        for a in ([0.25, 0.5, 0.25], np.random.default_rng(seed).dirichlet(np.ones(5))):
+            a = np.asarray(a)
+            record = simulate_counts(a, np.eye(a.size), 123_457, seed)
+            expected = np.random.default_rng(seed).multinomial(123_457, a / a.sum())
+            assert record.counts == tuple(int(c) for c in expected)
+        # a leaky sorter: one draw at q = P^T a, where a per-species second
+        # stage would take further numbers from the stream
+        a, leakage = np.array([0.2, 0.5, 0.3]), carbonish_leakage()
+        q = a @ leakage
+        expected = np.random.default_rng(seed).multinomial(123_457, q / q.sum())
+        assert simulate_counts(a, leakage, 123_457, seed).counts == tuple(int(c) for c in expected)
+
+    def test_total_near_max_particles(self):
+        total, a, leakage = spectrum.MAX_PARTICLES - 5, np.array([0.2, 0.5, 0.3]), carbonish_leakage()
+        record = simulate_counts(a, leakage, total, seed=9)
+        assert sum(record.counts) == total and min(record.counts) > 0
+        assert np.allclose(record.fractions(), a @ leakage, rtol=0, atol=1e-6)
+        with pytest.raises(ValueError, match="number of particles"):
+            simulate_counts([0.5, 0.5], np.eye(2), spectrum.MAX_PARTICLES + 1, seed=0)
 
     def test_bad_abundances(self):
         with pytest.raises(ValueError):
