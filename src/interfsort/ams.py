@@ -22,7 +22,10 @@ def ams_radius(mass: float, velocity: float, charge: float, b_field: float) -> f
     if not all(math.isfinite(x) and x > 0 for x in (mass, velocity, b_field)):
         raise ValueError(f"mass, velocity and field must be positive and finite, "
                          f"got {mass}, {velocity}, {b_field}")
-    radius = mass * velocity / (charge * b_field)
+    field_charge = charge * b_field
+    if field_charge == 0:
+        raise ValueError(f"q*B underflows to 0 for q = {charge} C, B = {b_field} T")
+    radius = mass * velocity / field_charge
     if not math.isfinite(radius):
         raise ValueError(f"deflection radius m*v / (q*B) overflows for m = {mass} kg, "
                          f"v = {velocity} m/s, q = {charge} C, B = {b_field} T")

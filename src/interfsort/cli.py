@@ -88,14 +88,11 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 def _describe_obstruction(obstruction: dict) -> str:
     """One line naming why N*A_k*x = k*s*A_0 (mod N*A_0) fails for a path."""
-    kind = obstruction["type"]
-    if kind == "congruence":
-        return (f"row k = {obstruction['k']} has no solution: gcd(N*A_k, N*A_0) = "
-                f"{obstruction['gcd']} does not divide k*s*A_0")
-    if kind == "merge":
-        j, k = obstruction["k"]
-        return (f"rows k = {j} and k = {k} contradict each other "
-                f"modulo gcd {obstruction['gcd']}")
+    if obstruction["type"] == "congruence":
+        # the rows k >= 2 hold exactly on the multiples of P, given row 1
+        return (f"no multiple x of P = {obstruction['step']} solves row 1, N*A_1*x = s*A_0 "
+                f"(mod {obstruction['modulus']}): gcd(N*A_1*P, N*A_0) = "
+                f"{obstruction['gcd']} does not divide s*A_0")
     return (f"the shortest solution x = {obstruction['x']} needs windings up to "
             f"{obstruction['max_winding_needed']}")
 

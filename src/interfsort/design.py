@@ -12,13 +12,13 @@ rows become the linear congruences
 
     N * A_k * x_s  =  k * s * A_0   (mod N * A_0),
 
-which are solved exactly: a gcd test and a modular inverse per row, then
-a generalized Chinese-remainder merge.  The right-hand side is linear in
-s, so when path 1 merges into x = r_1 (mod M), path s is x = s*r_1
-(mod M) and the congruences are solved once per design.  The proportions
-A_k come from the continued fraction of each float ratio, in integer
-arithmetic.  Feasibility is therefore decided by arithmetic, and an
-infeasible path comes with the congruence that obstructs it.
+Given row 1, the rows k >= 2 only ask that x be a multiple of one step
+P, so every path reduces to the single congruence N*A_1*P*y = s*A_0
+(mod N*A_0) in x = P*y: a gcd test and a modular inverse computed once
+per design.  The proportions A_k come from the continued fraction of
+each float ratio, in integer arithmetic.  Feasibility is therefore
+decided by arithmetic, and an infeasible path comes with what obstructs
+it: the congruence, or the winding bound its shortest solution exceeds.
 """
 
 from __future__ import annotations
@@ -48,7 +48,11 @@ class InfeasibleDesignError(ValueError):
     """No winding solution exists within the search bounds.
 
     `report["paths"][s]` carries each infeasible path's obstruction and its
-    minimal residual over x = 1..report["residual_x_max"].
+    minimal residual over x = 1..report["residual_x_max"].  The obstruction
+    is {"type": "congruence", "step": P, "gcd": g, "modulus": N*A_0} when
+    g = gcd(N*A_1*P, N*A_0) does not divide s*A_0, or {"type":
+    "winding_bound", "x": x, "max_winding_needed": w} when the shortest
+    solution x needs windings up to w > max_winding.
     """
 
     def __init__(self, message: str, report: dict | None = None):
@@ -217,36 +221,24 @@ def _rationalize_masses(species: tuple[Species, ...], denom_bound: int) -> list[
     return [p * (common // q) for p, q in fracs]
 
 
-def _path_residue(a: list[int], s: int) -> tuple[tuple[int, int] | None, dict | None]:
-    """All x solving path s's congruences as (r, M), x = r (mod M), or what prevents one.
+def _path_residues(a: list[int]) -> list[tuple[tuple[int, int] | None, dict | None]]:
+    """Per path s = 1..N-1: every x solving its rows as x = r (mod M), or its obstruction.
 
-    Mass k needs N*A_k*x = k*s*A_0 (mod N*A_0).  Each row is solved with a
-    gcd test and a modular inverse, and the rows are merged into one
-    x = r (mod M), 0 <= r < M, by the generalized Chinese remainder theorem.
+    Mass k needs N*A_k*x = k*s*A_0 (mod N*A_0).  Given row 1, row k >= 2
+    reads (A_k - k*A_1)*x = 0 (mod A_0), so the rows k >= 2 together say
+    x = P*y with P = A_0 / gcd(A_0, A_2 - 2*A_1, ..., A_{N-1} - (N-1)*A_1).
+    Row 1 then reads N*A_1*P*y = s*A_0 (mod N*A_0): one gcd test and one
+    modular inverse, shared by every path.
     """
     n = len(a)
     mod = n * a[0]
-    rows = []  # (k, r_k, m_k): x = r_k (mod m_k)
-    for k in range(1, n):
-        g = math.gcd(n * a[k], mod)
-        b = k * s * a[0]
-        if b % g:
-            return None, {"type": "congruence", "k": k, "gcd": g, "modulus": mod}
-        m_k = mod // g
-        rows.append((k, b // g * pow(n * a[k] // g, -1, m_k) % m_k, m_k))
-
-    r, m = 0, 1
-    for i, (k, r_k, m_k) in enumerate(rows):
-        g = math.gcd(m, m_k)
-        if (r_k - r) % g:
-            # pairwise compatibility is necessary and sufficient, so some
-            # earlier row contradicts row k on its own
-            j, g_jk = next((j, math.gcd(m_j, m_k)) for j, r_j, m_j in rows[:i]
-                           if (r_k - r_j) % math.gcd(m_j, m_k))
-            return None, {"type": "merge", "k": [j, k], "gcd": g_jk}
-        u = (r_k - r) // g * pow(m // g, -1, m_k // g) % (m_k // g)
-        r, m = r + m * u, m // g * m_k
-    return (r, m), None
+    step = a[0] // math.gcd(a[0], *(a[k] - k * a[1] for k in range(2, n)))
+    g = math.gcd(n * a[1] * step, mod)
+    m = mod // g
+    inv = pow(n * a[1] * step // g, -1, m)
+    return [((step * (s * a[0] // g * inv % m), step * m), None) if s * a[0] % g == 0
+            else (None, {"type": "congruence", "step": step, "gcd": g, "modulus": mod})
+            for s in range(1, n)]
 
 
 def _bounded_solution(a: list[int], s: int, r: int, m: int,
@@ -315,8 +307,8 @@ def solve_n_path(
 
     For each path s, x_s = dL_s * m_0 * v / h is the smallest positive
     integer solving the congruences N*A_k*x = k*s*A_0 (mod N*A_0) of every
-    mass row whose windings all stay within max_winding.  The congruences
-    are solved exactly (gcd test, then a Chinese-remainder merge), so
+    mass row whose windings all stay within max_winding.  Every path is
+    solved exactly as one congruence in x = P*y (see _path_residues), so
     max_winding only bounds the reported windings.  When a path has no
     solution, InfeasibleDesignError.report["paths"][s] carries its
     obstruction and the smallest worst-row residual over x = 1..x_max, where
@@ -343,16 +335,7 @@ def solve_n_path(
     windings = [[0] * n for _ in range(n)]
     infeasible: dict[int, dict] = {}
 
-    # row k's right-hand side k*s*A_0 is linear in s: when path 1 merges into
-    # x = r_1 (mod M), path s is x = s*r_1 (mod M), the residue its own merge
-    # gives; only when path 1 has none does each path need its own obstruction
-    first = _path_residue(proportions, 1)
-    for s in range(1, n):
-        if first[0] is not None:
-            r1, m = first[0]
-            residue, obstruction = (s * r1 % m, m), None
-        else:
-            residue, obstruction = first if s == 1 else _path_residue(proportions, s)
+    for s, (residue, obstruction) in enumerate(_path_residues(proportions), start=1):
         if residue is not None:
             x, obstruction = _bounded_solution(proportions, s, *residue, max_winding)
         if obstruction is not None:

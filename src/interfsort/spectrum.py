@@ -68,6 +68,7 @@ def simulate_counts(abundances, leakage, total: int, seed: int) -> CountRecord:
         raise ValueError(f"dimension mismatch: {a.size} abundances vs leakage {p.shape}")
     if not np.isfinite(p).all():
         raise ValueError("leakage entries must be finite")
+    total = require_int(total, "the number of particles")
     if not 1 <= total <= MAX_PARTICLES:
         raise ValueError(f"the number of particles must be 1 to {MAX_PARTICLES}, got {total}")
     if p.min() < -1e-12 or np.abs(p.sum(axis=1) - 1.0).max() > 1e-12:

@@ -130,9 +130,10 @@ class TestDesignCommand:
         assert main(["design", str(species), "--velocity", "10", "--out", str(out)]) == 2
         report = json.loads(out.read_text())["report"]
         assert report["paths"]["1"]["obstruction"] == {
-            "type": "congruence", "k": 1, "gcd": 5, "modulus": 60}
+            "type": "congruence", "step": 1, "gcd": 5, "modulus": 60}
         err = capsys.readouterr().err
-        assert err.count("row k = 1 has no solution: gcd(N*A_k, N*A_0) = 5") == 4
+        assert err.count("no multiple x of P = 1 solves row 1, N*A_1*x = s*A_0 (mod 60): "
+                         "gcd(N*A_1*P, N*A_0) = 5 does not divide s*A_0") == 4
 
     def test_huge_max_winding_scans_a_bounded_range(self, tmp_path):
         # A_0 = 9973 * 9967 * 9949: every path is obstructed by a congruence,
@@ -148,7 +149,7 @@ class TestDesignCommand:
         x_max = report["residual_x_max"]
         assert 1 <= x_max < 9973 * 9967 * 9949
         assert set(report["paths"]) == {"1", "2", "3"}
-        assert proc.stderr.count(f"rad over x <= {x_max}; row k = 1 has no solution") == 3
+        assert proc.stderr.count(f"rad over x <= {x_max}; no multiple x of P = ") == 3
 
     @pytest.mark.parametrize("flag", ["--max-winding", "--denom-bound"])
     def test_bound_below_one_exit_1(self, carbon_file, tmp_path, capsys, flag):
@@ -505,6 +506,15 @@ class TestAmsCompareCommand:
         assert "finite" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_underflowing_field_times_charge_exit_1(self, carbon_file, tmp_path, capsys):
+        # q*B = 1.6e-19 C * 1e-320 T underflows to 0, and m*v / (q*B) divided by it
+        out = tmp_path / "ams.json"
+        assert main(["ams-compare", str(carbon_file), "--velocity", "1e5",
+                     "--b-field", "1e-320", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "q*B underflows to 0" in err and "Traceback" not in err
+        assert not list(tmp_path.glob("ams.json*"))
+
     def test_infinite_radius_exit_1(self, tmp_path, capsys):
         species = tmp_path / "species.json"
         species.write_text(json.dumps(OVERFLOWING_SPECIES))
@@ -612,7 +622,7 @@ def test_fuzzed_input_file_never_escapes(target, value):
                 assert "NaN" not in text and "Infinity" not in text, (argv, path, value)
 
 
-# --- fuzzing: one numeric flag of design set to a bad value ------------------
+# --- fuzzing: one numeric flag of a command set to a bad value -------------
 
 FLAG_FUZZ_VALUES = ["nan", "inf", "-inf", "0", "-1", "-1e300", "1e-320", "1e300", str(10**30)]
 FLAG_FUZZ_SPECIES = {
@@ -621,6 +631,33 @@ FLAG_FUZZ_SPECIES = {
     "non_commensurable": [{"name": "a", "mass_u": 1.0}, {"name": "b", "mass_u": math.sqrt(2)}],
 }
 FLAG_FUZZ_DEFAULTS = {"--velocity": "50", "--mmi-width": "1e-6"}
+# the other commands: input file ("design" or "species", or None) and
+# numeric flags at small defaults, so that every run takes milliseconds
+FLAG_FUZZ_COMMANDS = {
+    "verify": ("design", {"--phase-tol": "1e-9"}),
+    "sweep": (None, {"--steps": "3", "--delta1-range": "-0.1,0.1",
+                     "--delta2-range": "-0.1,0.1"}),
+    "montecarlo": ("design", {"--sigma-l": "1e-11", "--trials": "5", "--seed": "0"}),
+    "ams-compare": ("species", {"--velocity": "1e5", "--b-field": "1", "--charge-e": "1"}),
+}
+
+
+def run_fuzzed_flags(argv, out) -> int:
+    """Run the CLI in process and check what it leaves: exit 0, 1 or 2, no
+    file on exit 1, and no non-finite number in any file it writes."""
+    code = main(argv)  # any exception escaping main fails the test
+    assert code in (0, 1, 2), (argv, code)
+    written = sorted(out.parent.glob(out.name + "*"))
+    if code == 1:
+        assert not written, argv
+    for path in written:
+        text = path.read_text()
+        if path.suffix == ".csv":
+            cells = [c for row in text.splitlines()[1:] for c in row.split(",")]
+            assert all(math.isfinite(float(c)) for c in cells), (argv, path.name)
+        else:
+            assert "NaN" not in text and "Infinity" not in text, (argv, path.name)
+    return code
 
 
 @settings(deadline=None, max_examples=300)
@@ -635,16 +672,32 @@ def test_fuzzed_design_flag_never_escapes(species, flag, value):
         flags = {**FLAG_FUZZ_DEFAULTS, flag: value}
         argv = ["design", str(file), "--out", str(out),
                 *(f"{name}={v}" for name, v in flags.items())]
-        code = main(argv)  # any exception escaping main fails the test
-        assert code in (0, 1, 2), (argv, code)
-        written = sorted(Path(tmp).glob("design.json*"))
-        if code == 1:
-            assert not written, argv
-        for path in written:
-            text = path.read_text()
-            assert "NaN" not in text and "Infinity" not in text, (argv, path.name)
-        if code == 0:
+        if run_fuzzed_flags(argv, out) == 0:
             load_design(out)  # what design writes, verify can read
+
+
+def _flag_fuzz_cases():
+    for command, (_, defaults) in FLAG_FUZZ_COMMANDS.items():
+        for flag in defaults:
+            for v in FLAG_FUZZ_VALUES:
+                # a range flag takes the value at either end, or at both
+                forms = [f"{v},1", f"-1,{v}", f"{v},{v}"] if flag.endswith("-range") else [v]
+                for value in forms:
+                    yield command, flag, value
+
+
+@pytest.mark.parametrize("command, flag, value", list(_flag_fuzz_cases()))
+def test_fuzzed_flag_never_escapes(tmp_path, command, flag, value):
+    species = tmp_path / "species.json"
+    species.write_text(json.dumps(FUZZ_SPECIES))
+    design = tmp_path / "design.json"
+    assert main(["design", str(species), "--velocity", "50", "--out", str(design)]) == 0
+    source, defaults = FLAG_FUZZ_COMMANDS[command]
+    out = tmp_path / f"{command}.{'csv' if command == 'sweep' else 'json'}"
+    argv = [command, *([str(tmp_path / f"{source}.json")] if source else []),
+            *(["--out", str(out)] if command != "verify" else []),
+            *(f"{name}={v}" for name, v in {**defaults, flag: value}.items())]
+    run_fuzzed_flags(argv, out)
 
 
 class TestHelpAndUsage:

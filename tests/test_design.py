@@ -145,6 +145,13 @@ def random_mass_sets(seed, count):
     return sets
 
 
+def step_and_gcd(a):
+    """P = A_0 / gcd(A_0, A_k - k*A_1 for k >= 2) and g = gcd(N*A_1*P, N*A_0)."""
+    n = len(a)
+    step = a[0] // math.gcd(a[0], *(a[k] - k * a[1] for k in range(2, n)))
+    return step, math.gcd(n * a[1] * step, n * a[0])
+
+
 def check_obstruction(masses_u, s, obstruction, max_winding):
     """Check a reported obstruction by scanning x over one period, 1..N*A_0."""
     a = [m // math.gcd(*masses_u) for m in masses_u]
@@ -160,14 +167,9 @@ def check_obstruction(masses_u, s, obstruction, max_winding):
 
     kind = obstruction["type"]
     if kind == "congruence":
-        k = obstruction["k"]
-        assert obstruction["gcd"] == math.gcd(n * a[k], mod)
-        assert all(solved([i]).any() for i in range(1, k)) and not solved([k]).any()
-    elif kind == "merge":
-        j, k = obstruction["k"]
-        assert obstruction["gcd"] == math.gcd(mod // math.gcd(n * a[j], mod),
-                                              mod // math.gcd(n * a[k], mod))
-        assert solved([j]).any() and solved([k]).any() and not solved([j, k]).any()
+        step, g = step_and_gcd(a)
+        assert obstruction == {"type": "congruence", "step": step, "gcd": g, "modulus": mod}
+        assert s * a[0] % g and not solved(range(1, n)).any()
     else:
         assert kind == "winding_bound"
         x0 = int(x[np.flatnonzero(solved(range(1, n)))[0]])
@@ -416,23 +418,26 @@ class TestNPath:
                 for s, info in paths.items()} == brute_force_n_path(masses, 30)[2]
 
     def test_obstruction_names_row_and_gcd(self):
-        # N = 5, A_0 = 12: row k = 1 reads 65x = 12s (mod 60), and
-        # gcd(65, 60) = 5 divides 12s for no s = 1..4
+        # N = 5, A_0 = 12: A_k - k*A_1 = -12*(k - 1), so P = 1; row 1 reads
+        # 65x = 12s (mod 60), and gcd(65, 60) = 5 divides 12s for no s = 1..4
         species = [Species(f"m{a}", a * ATOMIC_MASS_KG) for a in range(12, 17)]
         with pytest.raises(InfeasibleDesignError) as exc:
             solve_n_path(species, 10.0)
         for s in range(1, 5):
             assert exc.value.report["paths"][s]["obstruction"] == {
-                "type": "congruence", "k": 1, "gcd": 5, "modulus": 60}
+                "type": "congruence", "step": 1, "gcd": 5, "modulus": 60}
 
     def test_obstruction_names_contradicting_rows(self):
         # masses 3, 4, 7 (N = 3, mod 9): path 1 needs x = 1 (mod 3) from
-        # row 1 and x = 2 (mod 3) from row 2
+        # row 1 and x = 2 (mod 3) from row 2.  Given row 1, row 2 reads
+        # -x = 0 (mod 3), so P = 3, and row 1 then reads 36y = 3s (mod 9),
+        # which gcd(36, 9) = 9 rules out for s = 1, 2
         species = [Species(f"m{a}", a * ATOMIC_MASS_KG) for a in (3, 4, 7)]
         with pytest.raises(InfeasibleDesignError) as exc:
             solve_n_path(species, 10.0)
-        assert exc.value.report["paths"][1]["obstruction"] == {
-            "type": "merge", "k": [1, 2], "gcd": 3}
+        for s in (1, 2):
+            assert exc.value.report["paths"][s]["obstruction"] == {
+                "type": "congruence", "step": 3, "gcd": 9, "modulus": 9}
 
     def test_obstruction_winding_bound(self):
         # masses 6, 7, 8 sort path 2 at x = 4 with windings (4, 4, 4)
@@ -496,19 +501,28 @@ class TestIntegerSolver:
             assert design_module._limit_denominator(num, den, bound) == (
                 f.numerator, f.denominator), (num, den, bound)
 
-    def test_path_s_residue_is_s_times_path_1(self):
-        checked = 0
+    def test_rows_reduce_to_one_congruence(self):
+        # by brute force over one period x = 1..N*A_0: every row holds iff
+        # P | x and row 1 holds, and _path_residues reports exactly that set
+        feasible = infeasible = 0
         for masses in random_mass_sets(3, 400):
             species = tuple(Species(f"m{m}", m * ATOMIC_MASS_KG) for m in masses)
             a = design_module._rationalize_masses(species, 10_000)
-            first, _ = design_module._path_residue(a, 1)
-            if first is None:
-                continue
-            r1, m = first
-            for s in range(1, len(a)):
-                assert design_module._path_residue(a, s) == ((s * r1 % m, m), None), masses
-            checked += 1
-        assert checked >= 100
+            n, mod = len(a), len(a) * a[0]
+            step, _ = step_and_gcd(a)
+            x = np.arange(1, mod + 1)
+            for s, (residue, _) in enumerate(design_module._path_residues(a), start=1):
+                rows = [(n * a[k] * x - k * s * a[0]) % mod == 0 for k in range(1, n)]
+                every_row = np.logical_and.reduce(rows)
+                assert np.array_equal(every_row, (x % step == 0) & rows[0]), (masses, s)
+                if residue is None:
+                    assert not every_row.any(), (masses, s)
+                    infeasible += 1
+                else:
+                    r, m = residue
+                    assert 0 <= r < m and np.array_equal(every_row, x % m == r), (masses, s)
+                    feasible += 1
+        assert feasible >= 500 and infeasible >= 500
 
     def test_overflowing_mass_ratio_names_species(self):
         species = [Species("light", 1e-300), Species("heavy", 1e300)]

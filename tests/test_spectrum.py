@@ -76,6 +76,15 @@ class TestSimulateCounts:
         with pytest.raises(ValueError, match="mismatch"):
             simulate_counts([0.5, 0.5], np.eye(3), 100, seed=0)
 
+    @pytest.mark.parametrize("total", [1.5, 2.0, True, "10"])
+    def test_non_integer_total_refused(self, total):
+        with pytest.raises(ValueError, match="number of particles must be an integer"):
+            simulate_counts([0.5, 0.5], np.eye(2), total, seed=0)
+
+    def test_numpy_integer_total_accepted(self):
+        record = simulate_counts([0.5, 0.5], np.eye(2), np.int64(1000), seed=4)
+        assert record == simulate_counts([0.5, 0.5], np.eye(2), 1000, seed=4)
+
     @pytest.mark.parametrize("n", [2, 3, 8, 32])
     def test_same_distribution_as_per_species_loop(self, n):
         # 2000 seeded draws of each sampler: every channel mean within
