@@ -1,8 +1,8 @@
 """Design and simulation toolkit for interferometric mass sorters.
 
-No module of the package imports numpy at import time: the functions that
-compute arrays import it on first use, so `import interfsort` and the
-integer design solver run without it.
+No module of the package imports numpy at import time: the modules reach
+it through `interfsort._np`, which imports it on the first attribute
+access, so `import interfsort` and the integer design solver run without it.
 """
 
 __version__ = "0.1.0"

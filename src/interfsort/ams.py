@@ -26,6 +26,9 @@ def ams_radius(mass: float, velocity: float, charge: float, b_field: float) -> f
     if field_charge == 0:
         raise ValueError(f"q*B underflows to 0 for q = {charge} C, B = {b_field} T")
     radius = mass * velocity / field_charge
+    if radius == 0:
+        raise ValueError(f"deflection radius m*v / (q*B) underflows to 0 for m = {mass} kg, "
+                         f"v = {velocity} m/s, q = {charge} C, B = {b_field} T")
     if not math.isfinite(radius):
         raise ValueError(f"deflection radius m*v / (q*B) overflows for m = {mass} kg, "
                          f"v = {velocity} m/s, q = {charge} C, B = {b_field} T")

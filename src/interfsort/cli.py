@@ -22,6 +22,7 @@ import time
 from pathlib import Path
 
 from . import __version__
+from . import _np as np
 from .ams import ams_radius, ams_separation
 from .constants import ATOMIC_MASS_KG, ELEMENTARY_CHARGE, PLANCK_H
 from .design import (
@@ -81,6 +82,8 @@ def _parse_range(text: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise ValueError(f"expected 'min,max', got {text!r}")
     lo, hi = float(parts[0]), float(parts[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"range bounds must be finite, got {text!r}")
     if hi < lo:
         raise ValueError(f"empty range: {text!r}")
     return lo, hi
@@ -147,8 +150,6 @@ def cmd_design(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    import numpy as np
-
     if not (math.isfinite(args.phase_tol) and args.phase_tol >= 0):
         raise ValueError(f"--phase-tol must be finite and non-negative, got {args.phase_tol}")
     design = load_design(args.design_file)
@@ -173,8 +174,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    import numpy as np
-
     started = time.perf_counter()
     ratios = tuple(float(x) for x in args.ratios.split(","))
     lo1, hi1 = _parse_range(args.delta1_range)
@@ -238,6 +237,9 @@ def cmd_ams_compare(args) -> int:
     started = time.perf_counter()
     species = load_species_file(args.species_file)
     charge = args.charge_e * ELEMENTARY_CHARGE
+    if args.charge_e != 0 and charge == 0:
+        raise ValueError(f"--charge-e {args.charge_e} times e = {ELEMENTARY_CHARGE} C "
+                         f"underflows to 0 C")
     radii = [ams_radius(sp.mass, args.velocity, charge, args.b_field) for sp in species]
     rows = []
     print(f"magnetic deflection at v = {args.velocity} m/s, B = {args.b_field} T, "

@@ -29,12 +29,9 @@ import numbers
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
+from . import _np as np
 from .constants import ATOMIC_MASS_KG, PLANCK_H
-
-if TYPE_CHECKING:
-    import numpy as np
 
 PHASE_TOL = 1e-9           # rad; max residual for a design to count as valid
 RATIO_REL_TOL = 1e-9       # relative tolerance when rationalizing mass ratios
@@ -114,8 +111,6 @@ class SorterDesign:
         The fields are trusted: they are checked where a design is built
         (solve_n_path, design_from_dict), not on every call.
         """
-        import numpy as np
-
         masses = np.array([sp.mass for sp in self.species])
         return phase_shift(np.array(self.delta_lengths), masses[:, None], self.velocity)
 
@@ -144,8 +139,6 @@ def phase_shift(delta_length, mass, velocity: float):
 
 def wrap_phase(phi):
     """Wrap phases to [-pi, pi]."""
-    import numpy as np
-
     phi = np.asarray(phi, dtype=float)
     return phi - 2.0 * np.pi * np.round(phi / (2.0 * np.pi))
 
@@ -276,8 +269,6 @@ def _min_residual_cycles(a: list[int], paths: list[int],
     every path is read from one [S, K, X] array of at most _RESIDUAL_BLOCK
     entries.
     """
-    import numpy as np
-
     n = len(a)
     mod = n * a[0]
     per_x = len(paths) * (n - 1)
@@ -368,8 +359,6 @@ def solve_n_path(
 
 def ideal_phases(n: int) -> np.ndarray:
     """(n, n) sorting phases 2*pi*k*s/N of the ideal sorter, rows = mass k."""
-    import numpy as np
-
     return 2.0 * np.pi / n * np.outer(np.arange(n), np.arange(n))
 
 

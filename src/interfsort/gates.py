@@ -13,12 +13,8 @@ build.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
+from . import _np as np
 from .design import ideal_phases
-
-if TYPE_CHECKING:
-    import numpy as np
 
 UNITARITY_TOL = 1e-12
 
@@ -28,8 +24,6 @@ class InvalidDimensionError(ValueError):
 
 
 def _check_dim(n: int) -> None:
-    import numpy as np
-
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise InvalidDimensionError(f"dimension must be a positive integer, got {n!r}")
 
@@ -52,24 +46,18 @@ def split_index(n: int, flat: int) -> tuple[int, int]:
 
 def dft_matrix(n: int) -> np.ndarray:
     """N-port coupler unitary: entry (j, k) = omega**(k*j) / sqrt(N)."""
-    import numpy as np
-
     _check_dim(n)
     return np.exp(1j * ideal_phases(n)) / np.sqrt(n)
 
 
 def controlled_z(n: int) -> np.ndarray:
     """Mass-controlled phase gate: |k,s> -> omega**(s*k) |k,s>, dim N**2."""
-    import numpy as np
-
     _check_dim(n)
     return np.diag(np.exp(1j * ideal_phases(n)).ravel())
 
 
 def _fourier_conjugate(n: int, gate: np.ndarray) -> np.ndarray:
     """(I (x) F^dag) gate (I (x) F): the coupler on either side of a phase gate."""
-    import numpy as np
-
     big_f = np.kron(np.eye(n), dft_matrix(n))
     return big_f.conj().T @ gate @ big_f
 
@@ -89,8 +77,6 @@ def controlled_z_err(errs) -> np.ndarray:
     `errs` is a leakage.PhaseErrorVector, or anything with its `n` and
     `phase_matrix()`.
     """
-    import numpy as np
-
     return np.diag(np.exp(1j * (ideal_phases(errs.n) + errs.phase_matrix())).ravel())
 
 
@@ -105,8 +91,6 @@ def leakage_amplitudes(errs) -> np.ndarray:
     Read off the dense N**2 x N**2 sorter: the reference picture and the
     test oracle for leakage.exit_probabilities, not a hot path.
     """
-    import numpy as np
-
     n = errs.n
     cols = controlled_x_err(errs).reshape(n, n, n, n)  # [k_out, s_out, k_in, s_in]
     return np.stack([cols[k, :, k, 0] for k in range(n)])
@@ -114,8 +98,6 @@ def leakage_amplitudes(errs) -> np.ndarray:
 
 def apply(gate: np.ndarray, state: np.ndarray) -> np.ndarray:
     """Apply a gate to a normalized state vector."""
-    import numpy as np
-
     gate = np.asarray(gate)
     state = np.asarray(state, dtype=complex)
     if state.ndim != 1 or gate.shape != (state.size, state.size):
@@ -129,8 +111,6 @@ def apply(gate: np.ndarray, state: np.ndarray) -> np.ndarray:
 
 
 def is_unitary(gate: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
-    import numpy as np
-
     gate = np.asarray(gate)
     if gate.ndim != 2 or gate.shape[0] != gate.shape[1]:
         return False

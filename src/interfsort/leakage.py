@@ -12,12 +12,9 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
+from . import _np as np
 from .design import Species, SorterDesign, ideal_phases, phase_shift
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -27,8 +24,6 @@ class PathFluctuation:
     delta_lengths: tuple[float, ...]
 
     def __post_init__(self):
-        import numpy as np
-
         if not all(np.isfinite(self.delta_lengths)):
             raise ValueError("path fluctuations must be finite")
 
@@ -42,8 +37,6 @@ class PhaseErrorVector:
     mass_ratios: tuple[float, ...]   # m_k / m_0, entry 0 == 1
 
     def __post_init__(self):
-        import numpy as np
-
         if len(self.base_errors) != self.n - 1:
             raise ValueError(f"need {self.n - 1} base errors, got {len(self.base_errors)}")
         if len(self.mass_ratios) != self.n:
@@ -65,8 +58,6 @@ def error_phases(base_errors, mass_ratios) -> np.ndarray:
     last axis, shape [..., N-1]; the result has shape [..., N, N] (rows =
     mass, columns = path), ready to add to ideal_phases(N).
     """
-    import numpy as np
-
     base = np.asarray(base_errors, dtype=float)
     path = np.zeros(base.shape[:-1] + (base.shape[-1] + 1,))
     path[..., 1:] = base
@@ -88,8 +79,6 @@ def phases_from_fluctuation(
     base[s] = 2*pi * (dL_s - dL_0) * m_0 * v / h; a uniform fluctuation of
     all paths therefore maps to the zero vector.
     """
-    import numpy as np
-
     n = len(species)
     if n < 2:
         raise ValueError("need at least 2 species")
@@ -109,8 +98,6 @@ def exit_probabilities(phase) -> np.ndarray:
     c_{k,s} = fft(exp(i*phi_k))[s] / N.  `phase` has shape [..., N, N]
     (rows = mass, columns = path); leading axes are a batch.
     """
-    import numpy as np
-
     phase = np.asarray(phase, dtype=float)
     if phase.ndim < 2 or phase.shape[-1] != phase.shape[-2]:
         raise ValueError(f"phase must have shape [..., N, N], got {phase.shape}")
@@ -144,8 +131,6 @@ def analytic_leakage_n3(
     out termwise, and the mass-0 probabilities come from the cosine form
     p_{0,s} = 1/3 + (2/9) * [three shifted cosines].
     """
-    import numpy as np
-
     w = np.exp(2j * np.pi / 3)
     d1p, d2p = delta1 * ratio1, delta2 * ratio1
     d1pp, d2pp = delta1 * ratio2, delta2 * ratio2
@@ -183,8 +168,6 @@ def sweep_leakage(
     Returns shape (len(delta1), len(delta2), n, n); the exit-0 probability
     of mass 0 is grid[..., 0, 0].
     """
-    import numpy as np
-
     d1s = np.atleast_1d(np.asarray(delta1_values, dtype=float))
     d2s = np.atleast_1d(np.asarray(delta2_values, dtype=float))
     if d1s.size == 0 or d2s.size == 0:
@@ -214,8 +197,6 @@ def write_sweep_csv(
     all_entries: bool = False,
 ) -> None:
     """Write a sweep grid row-major as delta1_rad,delta2_rad,p00[,p_ks...]."""
-    import numpy as np
-
     d1s = np.atleast_1d(np.asarray(delta1_values, dtype=float))
     d2s = np.atleast_1d(np.asarray(delta2_values, dtype=float))
     n = grid.shape[-1]
@@ -259,8 +240,6 @@ def monte_carlo_leakage(
     errors in one batch, with the arithmetic of phases_from_fluctuation and
     PhaseErrorVector.phase_matrix.
     """
-    import numpy as np
-
     if trials < 1:
         raise ValueError("need at least one trial")
     if not (math.isfinite(sigma_length) and sigma_length >= 0):
@@ -272,11 +251,13 @@ def monte_carlo_leakage(
                       .normal(0.0, sigma_length, size=n))
     m0 = design.species[0].mass
     ratios = [sp.mass / m0 for sp in design.species]
-    base = _base_phase_errors(lengths, m0, design.velocity)
-    if not np.isfinite(base).all():
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
+        base = _base_phase_errors(lengths, m0, design.velocity)
+        phases = ideal_phases(n) + error_phases(base, ratios)
+    if not np.isfinite(phases).all():
         raise ValueError("path-noise phase errors must be finite; "
-                         "the design's mass and velocity overflow them")
-    probs = exit_probabilities(ideal_phases(n) + error_phases(base, ratios))
+                         "the design's masses and velocity overflow them")
+    probs = exit_probabilities(phases)
     diagonals = np.diagonal(probs, axis1=-2, axis2=-1)
     return MonteCarloResult(
         mean=tuple(diagonals.mean(axis=0)),

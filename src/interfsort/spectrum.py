@@ -4,13 +4,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
+from . import _np as np
 from .design import require_int, require_keys, require_list, require_number, species_from_obj
 from .leakage import PathFluctuation, PhaseErrorVector, phases_from_fluctuation, simulate_leakage
-
-if TYPE_CHECKING:
-    import numpy as np
 
 CONDITION_LIMIT = 1e8
 KKT_TOL = 1e-10  # on the gradient of the log-likelihood per particle
@@ -36,14 +33,10 @@ class CountRecord:
             raise ValueError("counts must sum to the total particle number")
 
     def fractions(self) -> np.ndarray:
-        import numpy as np
-
         return np.array(self.counts, dtype=float) / self.total
 
 
 def _check_abundances(abundances) -> np.ndarray:
-    import numpy as np
-
     a = np.asarray(abundances, dtype=float)
     if a.ndim != 1 or a.size < 1:
         raise ValueError("abundances must be a 1-d vector")
@@ -60,8 +53,6 @@ def simulate_counts(abundances, leakage, total: int, seed: int) -> CountRecord:
     multinomial(total, q) at the channel probabilities q = P^T a: one draw.
     Fixed seed gives bit-identical counts.
     """
-    import numpy as np
-
     a = _check_abundances(abundances)
     p = np.asarray(leakage, dtype=float)
     if p.shape != (a.size, a.size):
@@ -96,8 +87,6 @@ def _ml_on_boundary(system: np.ndarray, f: np.ndarray, total: int,
     one.  Returns only a point that meets the KKT conditions to KKT_TOL;
     raises otherwise.
     """
-    import numpy as np
-
     seen = f > 0  # a channel without counts enters phi only through sum(a)
     sys_seen, f_seen = system[seen], f[seen]
     a = start / start.sum()
@@ -170,8 +159,6 @@ def reconstruct_spectrum(counts: CountRecord, leakage) -> tuple[np.ndarray, np.n
     at the expected fractions q = P^T a: the q-weighted spread of each row
     of P^-T over sqrt(total).  On the interior branch q = f.
     """
-    import numpy as np
-
     p = np.asarray(leakage, dtype=float)
     n = p.shape[0]
     if p.shape != (n, n) or len(counts.counts) != n:
@@ -209,8 +196,6 @@ def run_experiment(config: dict) -> dict:
     abundances, total_particles, seed, errors: {delta_phi_rad: [...] |
     sigma_L_m}}.  The result contains only seed-deterministic fields.
     """
-    import numpy as np
-
     if not isinstance(config, dict):
         raise ValueError(f"a config must be a JSON object, got {type(config).__name__}")
     require_keys(config, CONFIG_KEYS, "config")

@@ -390,6 +390,22 @@ class TestMonteCarloCommand:
         assert "--seed" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")  # a numpy warning before the refusal fails
+    def test_overflowing_heavy_species_phases_exit_1(self, tmp_path, capsys):
+        # the base phase errors at 1e296 m are finite, (m_1/m_0) * base is not
+        species = tmp_path / "species.json"
+        species.write_text(json.dumps([{"name": "a", "mass_u": 2},
+                                       {"name": "b", "mass_u": 1000001}]))
+        design = tmp_path / "design.json"
+        assert main(["design", str(species), "--velocity", "50", "--max-winding", "1000000",
+                     "--out", str(design)]) == 0
+        out = tmp_path / "mc.json"
+        capsys.readouterr()
+        assert main(["montecarlo", str(design), "--sigma-l", "1e296", "--trials", "20",
+                     "--out", str(out)]) == 1
+        assert "phase errors must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.glob("mc.json*"))
+
     def test_out_of_memory_exit_1(self, carbon_file, tmp_path):
         # the draws of 1e11 trials need 1.5 TiB, refused before the first one
         design = tmp_path / "design.json"
@@ -513,6 +529,25 @@ class TestAmsCompareCommand:
                      "--b-field", "1e-320", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "q*B underflows to 0" in err and "Traceback" not in err
+        assert not list(tmp_path.glob("ams.json*"))
+
+    def test_underflowing_radius_exit_1(self, carbon_file, tmp_path, capsys):
+        # m*v = 2e-26 kg * 1e-320 m/s underflows to 0, and the radius with it
+        out = tmp_path / "ams.json"
+        assert main(["ams-compare", str(carbon_file), "--velocity", "1e-320",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "m*v / (q*B) underflows to 0" in err and "Traceback" not in err
+        assert not list(tmp_path.glob("ams.json*"))
+
+    def test_underflowing_charge_exit_1(self, carbon_file, tmp_path, capsys):
+        # 1e-320 * 1.6e-19 C underflows to 0: not a neutral species
+        out = tmp_path / "ams.json"
+        assert main(["ams-compare", str(carbon_file), "--velocity", "1e5",
+                     "--charge-e", "1e-320", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "--charge-e 1e-320" in err and "underflows to 0" in err
+        assert "neutral" not in err
         assert not list(tmp_path.glob("ams.json*"))
 
     def test_infinite_radius_exit_1(self, tmp_path, capsys):
@@ -660,6 +695,7 @@ def run_fuzzed_flags(argv, out) -> int:
     return code
 
 
+@pytest.mark.filterwarnings("error")  # a warning printed before a refusal escapes too
 @settings(deadline=None, max_examples=300)
 @given(species=st.sampled_from(sorted(FLAG_FUZZ_SPECIES)),
        flag=st.sampled_from(["--velocity", "--mmi-width", "--max-winding", "--denom-bound"]),
@@ -686,6 +722,7 @@ def _flag_fuzz_cases():
                     yield command, flag, value
 
 
+@pytest.mark.filterwarnings("error")  # a warning printed before a refusal escapes too
 @pytest.mark.parametrize("command, flag, value", list(_flag_fuzz_cases()))
 def test_fuzzed_flag_never_escapes(tmp_path, command, flag, value):
     species = tmp_path / "species.json"

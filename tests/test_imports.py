@@ -1,5 +1,6 @@
 """The import graph: which commands load numpy, and the package's public names."""
 
+import ast
 import json
 import os
 import subprocess
@@ -15,15 +16,20 @@ ROOT = Path(__file__).resolve().parents[1]
 MODULES = (ams, constants, design, gates, leakage, spectrum)
 
 
-def run_importtime(args, cwd):
-    """Run `python -X importtime <args>`; return the process and whether numpy was imported."""
+def imported_names(args, cwd):
+    """Run `python -X importtime <args>`; return the process and the modules it imported."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-X", "importtime", *args], cwd=cwd,
                           capture_output=True, text=True, env=env, timeout=120)
-    names = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
-             if line.startswith("import time:")]
+    return proc, [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                  if line.startswith("import time:")]
+
+
+def run_importtime(args, cwd):
+    """Run `python -X importtime <args>`; return the process and whether numpy was imported."""
+    proc, names = imported_names(args, cwd)
     return proc, any(name == "numpy" or name.startswith("numpy.") for name in names)
 
 
@@ -32,6 +38,30 @@ def test_import_loads_no_numpy(statement, tmp_path):
     proc, numpy_loaded = run_importtime(["-c", statement], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert not numpy_loaded
+
+
+def test_cli_import_loads_every_timed_module(tmp_path):
+    # perfbench/run.py times these modules under `import interfsort.cli`, and
+    # fails after the whole workload if one of them is not imported there
+    proc, names = imported_names(["-c", "import interfsort.cli"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    for module in ("gates", "design", "leakage", "spectrum", "cli"):
+        assert f"interfsort.{module}" in names, module
+
+
+def test_only_the_lazy_module_imports_numpy():
+    importers = []
+    for path in sorted((ROOT / "src" / "interfsort").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            if any(m == "numpy" or m.startswith("numpy.") for m in modules):
+                importers.append(path.name)
+    assert importers == ["_np.py"]
 
 
 def test_cold_commands_load_numpy_only_for_arrays(tmp_path):
