@@ -26,7 +26,6 @@ from . import _np as np
 from .ams import ams_radius, ams_separation
 from .constants import ATOMIC_MASS_KG, ELEMENTARY_CHARGE, PLANCK_H
 from .design import (
-    DEFAULT_DENOM_BOUND,
     DEFAULT_MAX_WINDING,
     PHASE_TOL,
     InfeasibleDesignError,
@@ -107,7 +106,6 @@ def cmd_design(args) -> int:
         "species_file": str(args.species_file),
         "velocity_mps": args.velocity,
         "max_winding": args.max_winding,
-        "denom_bound": args.denom_bound,
         "mmi_width_m": args.mmi_width,
     }
     coupler = None
@@ -118,9 +116,7 @@ def cmd_design(args) -> int:
                               length=mmi_length(args.mmi_width, lam_min, len(species)),
                               ports=len(species))
     try:
-        design = solve_n_path(species, args.velocity,
-                              max_winding=args.max_winding,
-                              denom_bound=args.denom_bound)
+        design = solve_n_path(species, args.velocity, max_winding=args.max_winding)
     except InfeasibleDesignError as exc:
         _write_json(args.out, {"feasible": False, "reason": str(exc), "report": exc.report})
         _write_manifest(args.out, "design", params, None, started)
@@ -274,9 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("species_file", help="JSON array of {name, mass_kg|mass_u}")
     p.add_argument("--velocity", type=float, required=True, help="common velocity in m/s")
     p.add_argument("--max-winding", type=int, default=DEFAULT_MAX_WINDING,
-                   help="bound on the integer phase windings")
-    p.add_argument("--denom-bound", type=int, default=DEFAULT_DENOM_BOUND,
-                   help="denominator bound when rationalizing mass ratios")
+                   help="bound W on the path offsets x_s = dL_s/lambda_0 and the windings; "
+                        "it also bounds the mass-ratio denominators, to min(N*W, 22360)")
     p.add_argument("--mmi-width", type=float, default=None,
                    help="coupler width in m; adds coupler length to the design")
     p.add_argument("--out", required=True, help="output design JSON path")

@@ -16,7 +16,9 @@ Given row 1, the rows k >= 2 only ask that x be a multiple of one step
 P, so every path reduces to the single congruence N*A_1*P*y = s*A_0
 (mod N*A_0) in x = P*y: a gcd test and a modular inverse computed once
 per design.  The proportions A_k come from the continued fraction of
-each float ratio, in integer arithmetic.  Feasibility is therefore
+each float ratio, in integer arithmetic, with denominators of at most
+N*max_winding: a path with x_s <= max_winding sorts only the ratios
+m_k / m_0 = (k*s + N*n_{k,s}) / (N*x_s).  Feasibility is therefore
 decided by arithmetic, and an infeasible path comes with what obstructs
 it: the congruence, or the winding bound its shortest solution exceeds.
 """
@@ -36,13 +38,14 @@ from .constants import ATOMIC_MASS_KG, PLANCK_H
 PHASE_TOL = 1e-9           # rad; max residual for a design to count as valid
 RATIO_REL_TOL = 1e-9       # relative tolerance when rationalizing mass ratios
 DEFAULT_MAX_WINDING = 1000
-DEFAULT_DENOM_BOUND = 10_000
+# fractions up to this denominator are >= 2*RATIO_REL_TOL apart; beyond it lies float noise
+_MAX_DENOMINATOR = math.isqrt(round(0.5 / RATIO_REL_TOL))
 _RESIDUAL_BLOCK = 1 << 16   # residues per block of the residual scan
 _RESIDUAL_BUDGET = 1 << 24  # residues per residual scan, over all blocks
 
 
 class InfeasibleDesignError(ValueError):
-    """No winding solution exists within the search bounds.
+    """No design exists whose path offsets and windings stay within max_winding.
 
     `report["paths"][s]` carries each infeasible path's obstruction and its
     minimal residual over x = 1..report["residual_x_max"].  The obstruction
@@ -58,8 +61,8 @@ class InfeasibleDesignError(ValueError):
 
 
 class NonCommensurableMassesError(InfeasibleDesignError):
-    """An infeasible design: a mass ratio has no rational approximation within
-    the denominator bound.  Its report is empty."""
+    """An infeasible design: a mass ratio has no rational approximation with a denominator
+    <= min(N*max_winding, _MAX_DENOMINATOR), as all ratios of a design have.  Empty report."""
 
 
 @dataclass(frozen=True)
@@ -153,13 +156,10 @@ def solve_two_species(
 
     Species 1 then exits one port (phase multiple of 2*pi) and species 2
     the other (odd multiple of pi): path 1 of the N = 2 sorter, with
-    k1 = n_{0,1} and k2 = n_{1,1}.  Every such ratio m2/m1 = (2*k2 + 1) / (2*k1)
-    has a denominator of at most 2*max_k, which is the rationalization bound.
-    Raises InfeasibleDesignError, with solve_n_path's report, when no pair
-    exists within max_k.
+    k1 = n_{0,1} and k2 = n_{1,1}.  Raises InfeasibleDesignError, with
+    solve_n_path's report, when no pair exists within max_k.
     """
-    design = solve_n_path([Species("m1", m1), Species("m2", m2)], velocity,
-                          max_winding=max_k, denom_bound=2 * max_k)
+    design = solve_n_path([Species("m1", m1), Species("m2", m2)], velocity, max_winding=max_k)
     delta_length = design.delta_lengths[1]
     phases = (phase_shift(delta_length, m1, velocity), phase_shift(delta_length, m2, velocity))
     return TwoSpeciesSolution(k1=design.windings[0][1], k2=design.windings[1][1],
@@ -193,8 +193,9 @@ def _limit_denominator(num: int, den: int, bound: int) -> tuple[int, int]:
     return p2, q2
 
 
-def _rationalize_masses(species: tuple[Species, ...], denom_bound: int) -> list[int]:
+def _rationalize_masses(species: tuple[Species, ...], max_winding: int) -> list[int]:
     """Integer proportions A_k with m_k / m_0 = A_k / A_0 within RATIO_REL_TOL."""
+    bound = min(len(species) * max_winding, _MAX_DENOMINATOR)
     m0 = species[0].mass
     fracs = []
     for sp in species:
@@ -203,11 +204,11 @@ def _rationalize_masses(species: tuple[Species, ...], denom_bound: int) -> list[
             problem = "overflows a float" if r else "underflows to 0"
             raise ValueError(f"species {sp.name!r}: mass ratio to species {species[0].name!r} "
                              f"({sp.mass!r} kg / {m0!r} kg) {problem}")
-        p, q = _limit_denominator(*r.as_integer_ratio(), denom_bound)
+        p, q = _limit_denominator(*r.as_integer_ratio(), bound)
         if p <= 0 or abs(p / q - r) > RATIO_REL_TOL * r:
             raise NonCommensurableMassesError(
-                f"mass ratio {r!r} has no rational approximation with denominator "
-                f"<= {denom_bound} within relative tolerance {RATIO_REL_TOL}"
+                f"mass ratio {r!r} has no rational approximation with denominator <= {bound} = "
+                f"min(N*max_winding, {_MAX_DENOMINATOR}) within relative tolerance {RATIO_REL_TOL}"
             )
         fracs.append((p, q))
     common = math.lcm(*(q for _, q in fracs))
@@ -292,7 +293,6 @@ def solve_n_path(
     species: list[Species] | tuple[Species, ...],
     velocity: float,
     max_winding: int = DEFAULT_MAX_WINDING,
-    denom_bound: int = DEFAULT_DENOM_BOUND,
 ) -> SorterDesign:
     """Find the shortest path offsets dL_s sorting all N species at once.
 
@@ -300,25 +300,23 @@ def solve_n_path(
     integer solving the congruences N*A_k*x = k*s*A_0 (mod N*A_0) of every
     mass row whose windings all stay within max_winding.  Every path is
     solved exactly as one congruence in x = P*y (see _path_residues), so
-    max_winding only bounds the reported windings.  When a path has no
-    solution, InfeasibleDesignError.report["paths"][s] carries its
-    obstruction and the smallest worst-row residual over x = 1..x_max, where
-    report["residual_x_max"] = x_max <= max_winding bounds the scan's work.
+    max_winding bounds only the windings and the ratio denominators.  When
+    a path has no solution, InfeasibleDesignError.report["paths"][s] carries
+    its obstruction and the smallest worst-row residual over x = 1..x_max,
+    where report["residual_x_max"] = x_max <= max_winding bounds the scan.
     """
-    if max_winding < 1 or denom_bound < 1:
-        raise ValueError(f"max_winding and denom_bound must be at least 1, "
-                         f"got {max_winding}, {denom_bound}")
+    if max_winding < 1:
+        raise ValueError(f"max_winding must be at least 1, got {max_winding}")
     species = tuple(species)
     n = len(species)
-    if n < 2:
-        raise ValueError("need at least 2 species to sort")
+    require_sortable(n, "species")
     masses = [sp.mass for sp in species]
     if len(set(masses)) != n:
         raise ValueError("species masses must be distinct")
     if not (math.isfinite(velocity) and velocity > 0):
         raise ValueError(f"velocity must be positive and finite, got {velocity}")
 
-    proportions = _rationalize_masses(species, denom_bound)
+    proportions = _rationalize_masses(species, max_winding)
     a0 = proportions[0]
     lam0 = de_broglie_wavelength(masses[0], velocity)
 
@@ -397,8 +395,7 @@ def path_error_budget(wavelengths: list[float], n: int) -> float:
     """Rule-of-thumb path-length control requirement min(lambda) / N."""
     if not wavelengths:
         raise ValueError("need at least one wavelength")
-    if n < 2:
-        raise ValueError("sorting needs at least 2 species")
+    require_sortable(n, "n")
     return min(wavelengths) / n
 
 
@@ -430,6 +427,12 @@ def require_int(value, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{field} must be an integer, got {value!r}")
     return int(value)
+
+
+def require_sortable(n: int, field: str) -> None:
+    """Refuse a species count below 2, the fewest masses a sorter can tell apart."""
+    if n < 2:
+        raise ValueError(f"{field}: sorting needs at least 2 species, got {n}")
 
 
 def require_list(value, field: str, length: int | None = None) -> list:
@@ -489,8 +492,7 @@ def design_from_dict(data: dict) -> SorterDesign:
     velocity = require_number(data["velocity_mps"], "velocity_mps", positive=True)
     species = tuple(species_from_obj(obj) for obj in require_list(data["species"], "species"))
     n = len(species)
-    if n < 1:
-        raise ValueError("species must list at least one species")
+    require_sortable(n, "species")
     if "n" in data and require_int(data["n"], "n") != n:
         raise ValueError(f"n is {data['n']}, but species lists {n}")
     delta_lengths = tuple(require_number(x, f"delta_L_m[{s}]")

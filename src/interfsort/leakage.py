@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import _np as np
-from .design import Species, SorterDesign, ideal_phases, phase_shift
+from .design import Species, SorterDesign, ideal_phases, phase_shift, require_sortable
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,7 @@ def phases_from_fluctuation(
     all paths therefore maps to the zero vector.
     """
     n = len(species)
-    if n < 2:
-        raise ValueError("need at least 2 species")
+    require_sortable(n, "species")
     if len(fluct.delta_lengths) != n:
         raise ValueError(f"need {n} path fluctuations, got {len(fluct.delta_lengths)}")
     m0 = species[0].mass

@@ -6,7 +6,8 @@ import math
 from dataclasses import dataclass
 
 from . import _np as np
-from .design import require_int, require_keys, require_list, require_number, species_from_obj
+from .design import (require_int, require_keys, require_list, require_number, require_sortable,
+                     species_from_obj)
 from .leakage import PathFluctuation, PhaseErrorVector, phases_from_fluctuation, simulate_leakage
 
 CONDITION_LIMIT = 1e8
@@ -202,6 +203,7 @@ def run_experiment(config: dict) -> dict:
     species = tuple(species_from_obj(obj)
                     for obj in require_list(config["species"], "config key 'species'"))
     n = len(species)
+    require_sortable(n, "config key 'species'")
     velocity = require_number(config["velocity_mps"], "config key 'velocity_mps'",
                               positive=True)
     abundances = _check_abundances([

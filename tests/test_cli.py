@@ -105,10 +105,30 @@ class TestDesignCommand:
         ]))
         out = tmp_path / "design.json"
         code = main(["design", str(species), "--velocity", "1",
-                     "--denom-bound", "50", "--out", str(out)])
+                     "--max-winding", "25", "--out", str(out)])
         assert code == 2
         payload = json.loads(out.read_text())
         assert payload["feasible"] is False
+        # the refusal names the bound that --max-winding sets
+        assert "denominator <= 50 = min(N*max_winding, 22360)" in capsys.readouterr().err
+
+    def test_max_winding_bounds_ratio_denominators(self, tmp_path):
+        # 12001/12000 needs x_1 = 6000 and a denominator of 12 000 <= N*max_winding
+        species = tmp_path / "species.json"
+        species.write_text(json.dumps([{"name": "a", "mass_u": 12000},
+                                       {"name": "b", "mass_u": 12001}]))
+        out = tmp_path / "design.json"
+        assert main(["design", str(species), "--velocity", "10", "--max-winding", "10000",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["windings"][0][1] == 6000
+
+    def test_removed_denom_bound_flag_exit_1(self, carbon_file, tmp_path, capsys):
+        out = tmp_path / "design.json"
+        assert main(["design", str(carbon_file), "--velocity", "10", "--denom-bound", "50",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --denom-bound 50" in err and "Traceback" not in err
+        assert not list(tmp_path.glob("design.json*"))
 
     def test_infeasible_writes_residuals(self, tmp_path):
         species = tmp_path / "multiples.json"
@@ -151,7 +171,7 @@ class TestDesignCommand:
         assert set(report["paths"]) == {"1", "2", "3"}
         assert proc.stderr.count(f"rad over x <= {x_max}; no multiple x of P = ") == 3
 
-    @pytest.mark.parametrize("flag", ["--max-winding", "--denom-bound"])
+    @pytest.mark.parametrize("flag", ["--max-winding"])
     def test_bound_below_one_exit_1(self, carbon_file, tmp_path, capsys, flag):
         out = tmp_path / "design.json"
         assert main(["design", str(carbon_file), "--velocity", "10", flag, "0",
@@ -698,7 +718,7 @@ def run_fuzzed_flags(argv, out) -> int:
 @pytest.mark.filterwarnings("error")  # a warning printed before a refusal escapes too
 @settings(deadline=None, max_examples=300)
 @given(species=st.sampled_from(sorted(FLAG_FUZZ_SPECIES)),
-       flag=st.sampled_from(["--velocity", "--mmi-width", "--max-winding", "--denom-bound"]),
+       flag=st.sampled_from(["--velocity", "--mmi-width", "--max-winding"]),
        value=st.sampled_from(FLAG_FUZZ_VALUES))
 def test_fuzzed_design_flag_never_escapes(species, flag, value):
     with tempfile.TemporaryDirectory() as tmp:
@@ -735,6 +755,32 @@ def test_fuzzed_flag_never_escapes(tmp_path, command, flag, value):
             *(["--out", str(out)] if command != "verify" else []),
             *(f"{name}={v}" for name, v in {**defaults, flag: value}.items())]
     run_fuzzed_flags(argv, out)
+
+
+ONE_SPECIES = [{"name": "C12", "mass_kg": M_C12}]
+ONE_SPECIES_DESIGN = {"velocity_mps": 100.0, "species": ONE_SPECIES, "delta_L_m": [0.0],
+                      "windings": [[0]]}
+
+
+@pytest.mark.parametrize("command, source, flags", [
+    ("design", ONE_SPECIES, ["--velocity", "100"]),
+    ("verify", ONE_SPECIES_DESIGN, []),
+    ("montecarlo", ONE_SPECIES_DESIGN, ["--sigma-l", "1e-11"]),
+    ("simulate", {"species": ONE_SPECIES, "velocity_mps": 100.0, "abundances": [1.0],
+                  "total_particles": 100, "seed": 0}, []),
+])
+def test_one_species_exit_1(tmp_path, capsys, command, source, flags):
+    # every command that sorts refuses what design refuses to write
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(source))
+    out = tmp_path / "out.json"
+    assert main([command, str(path), *flags,
+                 *(["--out", str(out)] if command != "verify" else [])]) == 1
+    err = capsys.readouterr().err
+    named = "config key 'species'" if command == "simulate" else "species"
+    assert f"{named}: sorting needs at least 2 species, got 1" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("out.json*"))
 
 
 class TestHelpAndUsage:

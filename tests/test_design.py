@@ -282,13 +282,19 @@ class TestTwoSpecies:
         assert 1000 < feasible < len(cases) - 1000
 
     def test_denominator_bound_follows_max_k(self):
-        # m2/m1 = 14001/15998 is the pair (7999, 7000); under the default bound
-        # of 10 000 no fraction comes within the tolerance of it
+        # m2/m1 = 14001/15998 is the pair (7999, 7000): its denominator 15998
+        # is within N*max_winding from max_winding = 7999 on, and not below
         m1, m2 = 15998 * ATOMIC_MASS_KG, 14001 * ATOMIC_MASS_KG
         sol = solve_two_species(m1, m2, 30.0, max_k=8000)
         assert (sol.k1, sol.k2) == (7999, 7000)
-        with pytest.raises(NonCommensurableMassesError):
-            solve_n_path([Species("m1", m1), Species("m2", m2)], 30.0, max_winding=8000)
+        species = [Species("m1", m1), Species("m2", m2)]
+        for max_winding in (8000, 7999):
+            design = solve_n_path(species, 30.0, max_winding=max_winding)
+            assert design.windings == ((0, 7999), (0, 7000))
+            assert design.delta_lengths[1] == sol.delta_length
+        with pytest.raises(NonCommensurableMassesError, match=re.escape(
+                "denominator <= 15996 = min(N*max_winding, 22360)")):
+            solve_n_path(species, 30.0, max_winding=7998)
         # m2/m1 = 101/100 needs a denominator of 100 > 2*max_k
         with pytest.raises(NonCommensurableMassesError):
             solve_two_species(100e-26, 101e-26, 1.0, max_k=10)
@@ -348,7 +354,7 @@ class TestNPath:
             Species("c", math.pi * 1e-26),
         ]
         with pytest.raises(NonCommensurableMassesError):
-            solve_n_path(species, 1.0, denom_bound=100)
+            solve_n_path(species, 1.0, max_winding=33)
 
     @pytest.mark.parametrize("max_winding", [1, 7, 20, 60, 200])
     def test_matches_brute_force(self, max_winding):
@@ -362,6 +368,10 @@ class TestNPath:
                 infeasible += 1
                 with pytest.raises(InfeasibleDesignError) as exc:
                     solve_n_path(species, 3.0, max_winding=max_winding)
+                if isinstance(exc.value, NonCommensurableMassesError):
+                    # a ratio's denominator exceeds N*max_winding: no path sorts
+                    assert set(report) == set(range(1, len(masses))), masses
+                    continue
                 paths = exc.value.report["paths"]
                 assert set(paths) == set(report), masses
                 for s, info in report.items():
@@ -378,14 +388,15 @@ class TestNPath:
 
     def test_large_proportions_match_brute_force(self):
         # ratios 1 + 1/p for primes p near 1e4 give A_0 ~ 1e16, so N*A_k*x
-        # leaves the int64 range in the residual scan
+        # leaves the int64 range in the residual scan; N*max_winding = 10 000
+        # still admits each denominator p
         ratios = [Fraction(1)] + [1 + Fraction(1, p) for p in (9973, 9967, 9949, 9941)]
         common = math.lcm(*(r.denominator for r in ratios))
         proportions = [int(r * common) for r in ratios]
         species = [Species(f"m{k}", float(r) * 1e-26) for k, r in enumerate(ratios)]
         with pytest.raises(InfeasibleDesignError) as exc:
-            solve_n_path(species, 3.0, max_winding=300)
-        _, _, report = brute_force_n_path(proportions, 300)
+            solve_n_path(species, 3.0, max_winding=2000)
+        _, _, report = brute_force_n_path(proportions, 2000)
         paths = exc.value.report["paths"]
         assert {s: {k: v for k, v in info.items() if k != "obstruction"}
                 for s, info in paths.items()} == report
@@ -449,8 +460,21 @@ class TestNPath:
         assert exc.value.report["paths"][2]["obstruction"] == {
             "type": "winding_bound", "x": 4, "max_winding_needed": 4}
 
-    @pytest.mark.parametrize("bounds", [{"max_winding": 0}, {"max_winding": -3},
-                                        {"denom_bound": 0}])
+    def test_denominator_cap(self):
+        # fractions with denominators up to the cap stay 2*RATIO_REL_TOL apart
+        cap = design_module._MAX_DENOMINATOR
+        assert cap == 22360
+        assert 1 / cap**2 >= 2 * design_module.RATIO_REL_TOL > 1 / (cap + 1)**2
+        # real C12/13/14: however large max_winding, the cap keeps the
+        # proportions off the float noise of the ratios
+        real = [Species(f"C{a}", m * ATOMIC_MASS_KG)
+                for a, m in ((12, 12.0), (13, 13.00335483507), (14, 14.00324198843))]
+        with pytest.raises(NonCommensurableMassesError, match=re.escape(
+                "denominator <= 22360 = min(N*max_winding, 22360)")) as exc:
+            solve_n_path(real, 10.0, max_winding=10**8)
+        assert exc.value.report == {}
+
+    @pytest.mark.parametrize("bounds", [{"max_winding": 0}, {"max_winding": -3}])
     def test_bounds_below_one_rejected(self, bounds):
         species = [Species("a", 6e-26), Species("b", 7e-26)]
         with pytest.raises(ValueError, match="at least 1"):
@@ -669,6 +693,7 @@ class TestJsonInterfaces:
         ({"coupler": [1]}, "coupler"),
         ({"n": 3}, "n is 3"),
         ({"n": "2"}, "n must be an integer"),
+        ({"species": [{"name": "a", "mass_u": 6}]}, "species: sorting needs at least 2 species"),
     ])
     def test_design_fields_checked_at_load(self, tmp_path, change, named):
         data = design_to_dict(solve_n_path([Species("a", 6e-26), Species("b", 7e-26)], 10.0))
