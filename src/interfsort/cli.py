@@ -32,7 +32,6 @@ from .design import (
     MmiGeometry,
     de_broglie_wavelength,
     design_to_dict,
-    ideal_phases,
     load_design,
     load_species_file,
     mmi_length,
@@ -121,10 +120,12 @@ def cmd_design(args) -> int:
         _write_json(args.out, {"feasible": False, "reason": str(exc), "report": exc.report})
         _write_manifest(args.out, "design", params, None, started)
         print(f"infeasible: {exc}", file=sys.stderr)
+        x_max = exc.report.get("residual_x_max")
         for s, info in exc.report.get("paths", {}).items():
-            print(f"  path {s}: min residual {info['min_residual_rad']:.3e} rad over "
-                  f"x <= {exc.report['residual_x_max']}; "
-                  f"{_describe_obstruction(info['obstruction'])}", file=sys.stderr)
+            scan = (f"min residual {info['min_residual_rad']:.3e} rad over x <= {x_max}"
+                    if x_max else "no x keeps every winding within the bound")
+            print(f"  path {s}: {scan}; {_describe_obstruction(info['obstruction'])}",
+                  file=sys.stderr)
         return EXIT_INFEASIBLE
 
     if coupler is not None:
@@ -146,8 +147,8 @@ def cmd_design(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not (math.isfinite(args.phase_tol) and args.phase_tol >= 0):
-        raise ValueError(f"--phase-tol must be finite and non-negative, got {args.phase_tol}")
+    if not 0 <= args.phase_tol < math.pi:
+        raise ValueError(f"--phase-tol must be non-negative and below pi, got {args.phase_tol}")
     design = load_design(args.design_file)
     residuals = verify_design(design)
     worst = float(np.abs(residuals).max())
@@ -158,13 +159,6 @@ def cmd_verify(args) -> int:
     if not worst <= args.phase_tol:  # a NaN residual is invalid too
         print("design INVALID", file=sys.stderr)
         return EXIT_INFEASIBLE
-    # the residuals are wrapped, so they cannot see a wrong winding n_ks
-    turns = np.rint((design.path_phases() - ideal_phases(design.n)) / (2.0 * np.pi))
-    for (k, s), turn in np.ndenumerate(turns):
-        if int(turn) != design.windings[k][s]:
-            print(f"design INVALID: windings[{k}][{s}] is {design.windings[k][s]}, "
-                  f"but the path phases wind {int(turn)} times", file=sys.stderr)
-            return EXIT_INFEASIBLE
     print("design valid")
     return EXIT_OK
 
@@ -280,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check the phase residuals of a design")
     p.add_argument("design_file", help="design JSON written by the design command")
     p.add_argument("--phase-tol", type=float, default=PHASE_TOL,
-                   help="max allowed residual in rad")
+                   help="max allowed residual in rad, below pi")
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("sweep", help="exit-probability grid over two phase errors")
@@ -333,9 +327,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except InfeasibleDesignError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

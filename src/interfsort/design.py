@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import _np as np
-from .constants import ATOMIC_MASS_KG, PLANCK_H
+from .constants import ATOMIC_MASS_KG, PLANCK_H, SPEED_OF_LIGHT
 
 PHASE_TOL = 1e-9           # rad; max residual for a design to count as valid
 RATIO_REL_TOL = 1e-9       # relative tolerance when rationalizing mass ratios
@@ -48,11 +48,13 @@ class InfeasibleDesignError(ValueError):
     """No design exists whose path offsets and windings stay within max_winding.
 
     `report["paths"][s]` carries each infeasible path's obstruction and its
-    minimal residual over x = 1..report["residual_x_max"].  The obstruction
-    is {"type": "congruence", "step": P, "gcd": g, "modulus": N*A_0} when
-    g = gcd(N*A_1*P, N*A_0) does not divide s*A_0, or {"type":
-    "winding_bound", "x": x, "max_winding_needed": w} when the shortest
-    solution x needs windings up to w > max_winding.
+    minimal residual over x = 1..report["residual_x_max"], x whose windings
+    all stay within max_winding (None, and residual_x_max 0, when x = 1
+    already winds beyond it).  The obstruction is {"type": "congruence",
+    "step": P, "gcd": g, "modulus": N*A_0} when g = gcd(N*A_1*P, N*A_0)
+    does not divide s*A_0, or {"type": "winding_bound", "x": x,
+    "max_winding_needed": w} when the shortest solution x needs windings up
+    to w > max_winding.
     """
 
     def __init__(self, message: str, report: dict | None = None):
@@ -118,14 +120,26 @@ class SorterDesign:
         return phase_shift(np.array(self.delta_lengths), masses[:, None], self.velocity)
 
 
+def require_velocity(velocity: float) -> None:
+    """Refuse a velocity outside 0 < v < c: h / (m*v) describes a slow matter wave."""
+    if not 0 < velocity < SPEED_OF_LIGHT:
+        raise ValueError(f"velocity must be finite, positive and below c = {SPEED_OF_LIGHT} m/s, "
+                         f"got {velocity}")
+
+
 def de_broglie_wavelength(mass: float, velocity: float) -> float:
-    """Matter wavelength h / (m * v)."""
-    if mass <= 0 or not (math.isfinite(velocity) and velocity > 0):
-        raise ValueError(f"mass and velocity must be positive and finite, got {mass}, {velocity}")
+    """Matter wavelength h / (m * v) for 0 < v < c.
+
+    A momentum or a wavelength below the smallest normal float is refused:
+    it keeps too few bits, or none, for the phases built on it.
+    """
+    require_velocity(velocity)
+    if not mass > 0:
+        raise ValueError(f"mass must be positive, got {mass}")
     momentum = mass * velocity
-    if not momentum > 0:
-        raise ValueError(f"momentum of mass {mass!r} kg at velocity {velocity!r} m/s "
-                         f"underflows to 0")
+    if not (momentum >= sys.float_info.min and PLANCK_H / momentum >= sys.float_info.min):
+        raise ValueError(f"mass {mass!r} kg at velocity {velocity!r} m/s underflows the float "
+                         f"range: m*v or h/(m*v) is below {sys.float_info.min!r}")
     return PLANCK_H / momentum
 
 
@@ -133,17 +147,10 @@ def phase_shift(delta_length, mass, velocity: float):
     """Unwrapped phase 2*pi * dL * m * v / h accumulated over a path offset.
 
     Lengths and masses broadcast as numpy arrays.  Only the scalar velocity
-    is checked here; a Species checks its own mass.
+    is checked here (0 < v < c); a Species checks its own mass.
     """
-    if not (math.isfinite(velocity) and velocity > 0):
-        raise ValueError(f"velocity must be positive and finite, got {velocity}")
+    require_velocity(velocity)
     return 2.0 * math.pi * delta_length * mass * velocity / PLANCK_H
-
-
-def wrap_phase(phi):
-    """Wrap phases to [-pi, pi]."""
-    phi = np.asarray(phi, dtype=float)
-    return phi - 2.0 * np.pi * np.round(phi / (2.0 * np.pi))
 
 
 def solve_two_species(
@@ -259,21 +266,35 @@ def _bounded_solution(a: list[int], s: int, r: int, m: int,
 
 
 def _min_residual_cycles(a: list[int], paths: list[int],
-                         max_winding: int) -> tuple[list[float], int]:
+                         max_winding: int) -> tuple[list[float | None], int]:
     """Per path s: min over x = 1..x_max of max over k of t_k(x)'s distance to an integer.
 
-    The distances repeat with period N*A_0 in x, so longer ranges add
-    nothing, and the scan stops early enough that it reads at most
-    _RESIDUAL_BUDGET residues: x_max = min(max_winding, N*A_0, budget / (S*K))
-    for S paths and K = N - 1 rows, returned with the minima.  N*A_k*x mod N*A_0
-    is the same for every path, so it is computed once per block of x and
-    every path is read from one [S, K, X] array of at most _RESIDUAL_BLOCK
-    entries.
+    Every x scanned keeps its windings within max_winding: x itself, and a
+    nearest integer of every t_k(x) = (N*A_k*x - k*s*A_0) / (N*A_0) of every
+    path, |t_k(x)| <= max_winding + 1/2.  t_k grows with x and falls with s,
+    so the first and the last of the ascending paths bound each row: one
+    range per design, and x_max = 0, with no minima, when x = 1 is already
+    out of it.  The distances repeat with period N*A_0 in x, so longer ranges add nothing,
+    and the scan stops early enough that it reads at most _RESIDUAL_BUDGET
+    residues: x_max <= min(max_winding, N*A_0, budget / (S*K)) for S paths
+    and K = N - 1 rows, returned with the minima.  N*A_k*x mod N*A_0 is the
+    same for every path, so it is computed once per block of x and every
+    path is read from one [S, K, X] array of at most _RESIDUAL_BLOCK entries.
     """
     n = len(a)
     mod = n * a[0]
     per_x = len(paths) * (n - 1)
     stop = min(max_winding, mod, max(1, _RESIDUAL_BUDGET // per_x))
+    reach = (2 * max_winding + 1) * mod  # max_winding + 1/2, times 2*N*A_0
+    # t_k(x) < A_k*x/A_0 and t_k(1) > 1 - N, so often no row can leave the bound
+    if 2 * n * max(a) * stop > reach or n > max_winding + 1:
+        for k in range(1, n):
+            c, b = 2 * n * a[k], 2 * k * a[0]  # 2*N*A_0*t_k(x) = c*x - b*s
+            stop = min(stop, (reach + b * paths[0]) // c)
+            if c - b * paths[-1] < -reach:
+                stop = 0
+    if not stop:
+        return [None] * len(paths), 0
     step = max(1, _RESIDUAL_BLOCK // per_x)
     coef = [n * a_k for a_k in a[1:]]
     # k*s*A_0 reduced first, so only N*A_k*x can leave the int64 range
@@ -303,9 +324,10 @@ def solve_n_path(
     max_winding bounds only the windings and the ratio denominators.  When
     a path has no solution, InfeasibleDesignError.report["paths"][s] carries
     its obstruction and the smallest worst-row residual over x = 1..x_max,
-    where report["residual_x_max"] = x_max <= max_winding bounds the scan.
+    where report["residual_x_max"] = x_max <= max_winding bounds the scan to
+    x whose windings all stay within max_winding.
     """
-    if max_winding < 1:
+    if require_int(max_winding, "max_winding") < 1:
         raise ValueError(f"max_winding must be at least 1, got {max_winding}")
     species = tuple(species)
     n = len(species)
@@ -313,8 +335,7 @@ def solve_n_path(
     masses = [sp.mass for sp in species]
     if len(set(masses)) != n:
         raise ValueError("species masses must be distinct")
-    if not (math.isfinite(velocity) and velocity > 0):
-        raise ValueError(f"velocity must be positive and finite, got {velocity}")
+    require_velocity(velocity)
 
     proportions = _rationalize_masses(species, max_winding)
     a0 = proportions[0]
@@ -338,7 +359,7 @@ def solve_n_path(
     if infeasible:
         residuals, x_max = _min_residual_cycles(proportions, list(infeasible), max_winding)
         paths = {s: {"min_residual_cycles": residual,
-                     "min_residual_rad": 2.0 * math.pi * residual,
+                     "min_residual_rad": None if residual is None else 2.0 * math.pi * residual,
                      "obstruction": obstruction}
                  for (s, obstruction), residual in zip(infeasible.items(), residuals)}
         raise InfeasibleDesignError(
@@ -361,12 +382,14 @@ def ideal_phases(n: int) -> np.ndarray:
 
 
 def verify_design(design: SorterDesign) -> np.ndarray:
-    """Per-(k, s) phase residual, wrapped to [-pi, pi].
+    """Per-(k, s) residual of the sorting condition with the design's own windings.
 
-    Residual r_{k,s} = wrap(2*pi * dL_s * m_k * v / h - 2*pi*k*s/N); the
-    design is valid iff max |r| <= PHASE_TOL.
+    r_{k,s} = 2*pi * dL_s * m_k * v / h - 2*pi*k*s/N - 2*pi*n_{k,s}, unwrapped:
+    a wrong winding leaves a residual of at least pi.  The design is valid
+    iff max |r| <= PHASE_TOL.
     """
-    return wrap_phase(design.path_phases() - ideal_phases(design.n))
+    return (design.path_phases() - ideal_phases(design.n)
+            - 2.0 * np.pi * np.array(design.windings, dtype=float))
 
 
 def distinct_phases_check(n: int, k: int) -> bool:
@@ -490,6 +513,7 @@ def design_from_dict(data: dict) -> SorterDesign:
         raise ValueError(f"a design must be a JSON object, got {type(data).__name__}")
     require_keys(data, ("velocity_mps", "species", "delta_L_m", "windings"), "design")
     velocity = require_number(data["velocity_mps"], "velocity_mps", positive=True)
+    require_velocity(velocity)
     species = tuple(species_from_obj(obj) for obj in require_list(data["species"], "species"))
     n = len(species)
     require_sortable(n, "species")
@@ -501,6 +525,9 @@ def design_from_dict(data: dict) -> SorterDesign:
         tuple(require_int(w, f"windings[{k}][{s}]")
               for s, w in enumerate(require_list(row, f"windings[{k}]", n)))
         for k, row in enumerate(require_list(data["windings"], "windings", n)))
+    if any(abs(w) > sys.float_info.max for row in windings for w in row):
+        raise ValueError("windings must lie within the float range: verify_design takes them "
+                         "as floats")
     coupler = None
     if "coupler" in data:
         c = data["coupler"]
@@ -508,8 +535,8 @@ def design_from_dict(data: dict) -> SorterDesign:
             raise ValueError(f"coupler must be an object, got {c!r}")
         require_keys(c, ("width_m", "length_m", "ports"), "coupler")
         ports = require_int(c["ports"], "coupler.ports")
-        if ports < 1:
-            raise ValueError(f"coupler.ports must be at least 1, got {ports}")
+        if ports != n:
+            raise ValueError(f"coupler.ports is {ports}, but species lists {n}")
         coupler = MmiGeometry(width=require_number(c["width_m"], "coupler.width_m", positive=True),
                               length=require_number(c["length_m"], "coupler.length_m",
                                                     positive=True),

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from . import _np as np
 from .design import (require_int, require_keys, require_list, require_number, require_sortable,
-                     species_from_obj)
+                     require_velocity, species_from_obj)
 from .leakage import PathFluctuation, PhaseErrorVector, phases_from_fluctuation, simulate_leakage
 
 CONDITION_LIMIT = 1e8
@@ -206,6 +206,7 @@ def run_experiment(config: dict) -> dict:
     require_sortable(n, "config key 'species'")
     velocity = require_number(config["velocity_mps"], "config key 'velocity_mps'",
                               positive=True)
+    require_velocity(velocity)
     abundances = _check_abundances([
         require_number(x, f"abundances[{k}]")
         for k, x in enumerate(require_list(config["abundances"], "config key 'abundances'"))])

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interfsort.cli import main
-from interfsort.design import load_design
 
 ROOT = Path(__file__).resolve().parents[1]
 M_C12 = 1.99e-26
@@ -171,6 +170,35 @@ class TestDesignCommand:
         assert set(report["paths"]) == {"1", "2", "3"}
         assert proc.stderr.count(f"rad over x <= {x_max}; no multiple x of P = ") == 3
 
+    def test_no_x_within_the_bound_has_no_residual(self, tmp_path, capsys):
+        # masses 2 and 23 u: x = 1 already winds mass 1 by 11 turns
+        species = tmp_path / "species.json"
+        species.write_text(json.dumps([{"name": "a", "mass_u": 2}, {"name": "b", "mass_u": 23}]))
+        out = tmp_path / "design.json"
+        assert main(["design", str(species), "--velocity", "10", "--max-winding", "10",
+                     "--out", str(out)]) == 2
+        report = json.loads(out.read_text())["report"]
+        assert report["residual_x_max"] == 0
+        assert report["paths"]["1"]["min_residual_rad"] is None
+        assert ("path 1: no x keeps every winding within the bound; the shortest solution "
+                "x = 1 needs windings up to 11") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("masses, velocity, named", [
+        # h/(m*v) is below the smallest normal float
+        ([{"name": "a", "mass_kg": 1e300}, {"name": "b", "mass_kg": 1.5e300}], "100",
+         "underflows the float range"),
+        # 2*pi*dL*m underflows at this speed; no matter wave moves at or above c
+        ([{"name": f"C{a}", "mass_u": a} for a in (12, 13, 14)], "1e290", "below c"),
+    ])
+    def test_unrepresentable_phases_exit_1(self, tmp_path, capsys, masses, velocity, named):
+        species = tmp_path / "species.json"
+        species.write_text(json.dumps(masses))
+        out = tmp_path / "design.json"
+        assert main(["design", str(species), "--velocity", velocity, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not list(tmp_path.glob("design.json*"))
+
     @pytest.mark.parametrize("flag", ["--max-winding"])
     def test_bound_below_one_exit_1(self, carbon_file, tmp_path, capsys, flag):
         out = tmp_path / "design.json"
@@ -238,22 +266,26 @@ class TestVerifyCommand:
         path = tmp_path / "design.json"
         assert main(["design", str(species), "--velocity", "100", "--out", str(path)]) == 0
         data = json.loads(path.read_text())
-        data["windings"][1][2] = -1
+        data["windings"][1][2] -= 1
         path.write_text(json.dumps(data))
         capsys.readouterr()
         assert main(["verify", str(path)]) == 2
         captured = capsys.readouterr()
         assert "design valid" not in captured.out
-        assert "design INVALID: windings[1][2] is -1" in captured.err
-        assert "Traceback" not in captured.err
+        assert "design INVALID" in captured.err and "Traceback" not in captured.err
+        # residual [1][2], printed to 4 digits, is off by one turn
+        residual = float(captured.out.splitlines()[2].split()[2])
+        assert abs(abs(residual) - 2 * math.pi) < 1e-3
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    # a wrong winding leaves a residual of at least pi, which a tolerance of pi accepts
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "3.2", "1e300"])
     def test_bad_phase_tol_exit_1(self, carbon_file, tmp_path, capsys, tol):
         out = tmp_path / "design.json"
         main(["design", str(carbon_file), "--velocity", "100", "--out", str(out)])
         capsys.readouterr()
         assert main(["verify", str(out), f"--phase-tol={tol}"]) == 1
-        assert "--phase-tol" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--phase-tol" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("change, named", [
         ({"velocity_mps": float("nan")}, "velocity_mps"),
@@ -262,6 +294,9 @@ class TestVerifyCommand:
         ({"delta_L_m": [0.0]}, "delta_L_m"),
         ({"species": [{"name": "C12", "mass_u": [12]}, {"name": "C14", "mass_u": 14}]},
          "mass_u"),
+        ({"coupler": {"width_m": 1e-6, "length_m": 1e-5, "ports": 5}}, "coupler.ports"),
+        ({"windings": [[0, 10**400], [0, 0]]}, "windings"),
+        ({"velocity_mps": 3e8}, "below c"),
     ])
     def test_bad_design_field_exit_1(self, carbon_file, tmp_path, capsys, change, named):
         path = tmp_path / "design.json"
@@ -294,10 +329,10 @@ class TestVerifyCommand:
         assert "velocity_mps, species, delta_L_m, windings" in capsys.readouterr().err
 
     def test_nan_residual_is_invalid(self, tmp_path, capsys):
-        # m * v overflows, so the residuals are NaN: never "design valid"
+        # m * v overflows below c, so the residuals are not finite: never "design valid"
         path = tmp_path / "design.json"
         path.write_text(json.dumps({
-            "velocity_mps": 1e300, "delta_L_m": [0.0, 1e-9], "windings": [[0, 0], [0, 0]],
+            "velocity_mps": 2e8, "delta_L_m": [0.0, 1e-9], "windings": [[0, 0], [0, 0]],
             "species": [{"name": "a", "mass_kg": 1e300}, {"name": "b", "mass_kg": 2e300}],
         }))
         with pytest.warns(RuntimeWarning):
@@ -505,6 +540,7 @@ class TestSimulateCommand:
         ({"total_particles": 10**30}, "particles"),
         ({"species": [{"name": "C12", "mass_u": [12]}, {"name": "C13", "mass_u": 13},
                       {"name": "C14", "mass_u": 14}]}, "mass_u"),
+        ({"velocity_mps": 1e300}, "below c"),
     ])
     def test_bad_config_exit_1(self, experiment_file, tmp_path, capsys, change, named):
         config = json.loads(experiment_file.read_text())
@@ -729,7 +765,7 @@ def test_fuzzed_design_flag_never_escapes(species, flag, value):
         argv = ["design", str(file), "--out", str(out),
                 *(f"{name}={v}" for name, v in flags.items())]
         if run_fuzzed_flags(argv, out) == 0:
-            load_design(out)  # what design writes, verify can read
+            assert main(["verify", str(out)]) == 0, argv  # what design writes, verify accepts
 
 
 def _flag_fuzz_cases():

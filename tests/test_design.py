@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import interfsort.design as design_module
-from interfsort.constants import ATOMIC_MASS_KG, PLANCK_H
+from interfsort.constants import ATOMIC_MASS_KG, PLANCK_H, SPEED_OF_LIGHT
 from interfsort.design import (
     InfeasibleDesignError,
     NonCommensurableMassesError,
@@ -30,7 +30,6 @@ from interfsort.design import (
     solve_two_species,
     species_from_obj,
     verify_design,
-    wrap_phase,
 )
 
 M_C12 = 1.99e-26           # kg
@@ -50,37 +49,55 @@ def brute_force_windings(masses, velocity, s, n, x_max=200):
     return None
 
 
-def brute_force_n_path(masses_u, max_winding):
+def brute_force_n_path(masses_u, max_winding, scan_stop=math.inf):
     """The bounded search solve_n_path used before the congruence solver.
 
     Integer masses A_k; for each path s, scans x = 1..max_winding with exact
-    rationals. Returns (xs, windings) when every path sorts, else the
-    per-path minimal residual report of the infeasible paths.
+    rationals t_k(x) = A_k*x/A_0 - k*s/N. Returns (xs, windings, None) when
+    every path sorts, else (None, None, report) with the report's residual
+    part: the infeasible paths' minimal worst-row residuals over x = 1..x_max,
+    where x_max is the largest x (at most max_winding, N*A_0 in lowest terms
+    and scan_stop) such that every x' <= x has a nearest integer of every
+    t_k(x') of every infeasible path within max_winding; the residuals are
+    None when x_max is 0.
     """
     a = list(masses_u)
     n = len(a)
-    xs, windings, infeasible = [], [[0] * n for _ in range(n)], {}
+    # per infeasible path s, the rows t_k(x), k = 1..N-1, of every x scanned
+    xs, windings, columns = [], [[0] * n for _ in range(n)], {}
     for s in range(1, n):
-        best = math.inf
+        columns[s] = []
         for x in range(1, max_winding + 1):
-            column, worst, ok = [x] + [0] * (n - 1), 0.0, True
-            for k in range(1, n):
-                t = Fraction(a[k] * x, a[0]) - Fraction(k * s, n)
-                if t.denominator == 1 and abs(t) <= max_winding:
-                    column[k] = int(t)
-                else:
-                    ok = False
-                    worst = max(worst, abs(float(t - round(t))))
-            if ok:
+            column = [Fraction(a[k] * x, a[0]) - Fraction(k * s, n) for k in range(1, n)]
+            if all(t.denominator == 1 and abs(t) <= max_winding for t in column):
                 xs.append(x)
-                for k in range(n):
-                    windings[k][s] = column[k]
+                for k, t in enumerate([x, *column]):
+                    windings[k][s] = int(t)
+                del columns[s]
                 break
-            best = min(best, worst)
-        else:
-            infeasible[s] = {"min_residual_cycles": best,
-                             "min_residual_rad": 2.0 * np.pi * best}
-    return (None, None, infeasible) if infeasible else (xs, windings, None)
+            columns[s].append(column)
+    if not columns:
+        return xs, windings, None
+    x_max, best, limit = 0, dict.fromkeys(columns), max_winding + Fraction(1, 2)
+    while x_max < min(max_winding, n * a[0] // math.gcd(*a), scan_stop):
+        rows = {s: column[x_max] for s, column in columns.items()}
+        if any(abs(t) > limit for row in rows.values() for t in row):
+            break
+        for s, row in rows.items():
+            worst = max(abs(t - round(t)) for t in row)
+            best[s] = worst if best[s] is None else min(best[s], worst)
+        x_max += 1
+    paths = {s: {"min_residual_cycles": None if b is None else float(b),
+                 "min_residual_rad": None if b is None else 2.0 * np.pi * float(b)}
+             for s, b in best.items()}
+    return None, None, {"paths": paths, "residual_x_max": x_max}
+
+
+def without_obstructions(report):
+    """An InfeasibleDesignError report with the obstructions left out."""
+    return {"paths": {s: {k: v for k, v in info.items() if k != "obstruction"}
+                      for s, info in report["paths"].items()},
+            "residual_x_max": report["residual_x_max"]}
 
 
 def two_species_loop(m1, m2, velocity, max_k):
@@ -202,6 +219,25 @@ class TestWavelengthAndPhase:
         with pytest.raises(ValueError, match=r"1\.99e-26 kg at velocity 1e-320 m/s underflows"):
             de_broglie_wavelength(M_C12, 1e-320)
 
+    @pytest.mark.parametrize("mass, velocity", [
+        (1e300, 100.0),   # h/(m*v) underflows to 0
+        (1e280, 100.0),   # h/(m*v) is subnormal
+        (1e-300, 1e-15),  # m*v is subnormal
+        (math.inf, 1.0),
+    ])
+    def test_subnormal_momentum_or_wavelength_refused(self, mass, velocity):
+        with pytest.raises(ValueError, match="underflows the float range"):
+            de_broglie_wavelength(mass, velocity)
+        assert de_broglie_wavelength(1e250, 100.0) > 0
+
+    @pytest.mark.parametrize("velocity", [SPEED_OF_LIGHT, 1e290])
+    def test_velocity_at_or_above_c_refused(self, velocity):
+        for call in (lambda: de_broglie_wavelength(M_C12, velocity),
+                     lambda: phase_shift(1e-9, M_C12, velocity)):
+            with pytest.raises(ValueError, match="below c"):
+                call()
+        assert phase_shift(1e-9, M_C12, np.nextafter(SPEED_OF_LIGHT, 0)) > 0
+
     def test_phase_shift_zero(self):
         assert phase_shift(0.0, M_C12, 1.0) == 0.0
 
@@ -243,8 +279,8 @@ class TestTwoSpecies:
 
     def test_phase_conditions(self):
         sol = solve_two_species(M_C12, M_C14, 100.0, max_k=100)
-        assert wrap_phase(sol.phases[0]) == pytest.approx(0.0, abs=1e-9)
-        assert abs(abs(wrap_phase(sol.phases[1])) - np.pi) < 1e-9
+        assert math.remainder(sol.phases[0], 2 * math.pi) == pytest.approx(0.0, abs=1e-9)
+        assert abs(abs(math.remainder(sol.phases[1], 2 * math.pi)) - np.pi) < 1e-9
 
     def test_irrational_ratio_infeasible(self):
         with pytest.raises(InfeasibleDesignError) as exc:
@@ -308,7 +344,7 @@ class TestTwoSpecies:
         with pytest.raises(ValueError):
             solve_two_species(1e-26, 1e-26, 1.0)
 
-    @pytest.mark.parametrize("velocity", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("velocity", [math.nan, math.inf, -1.0, SPEED_OF_LIGHT])
     def test_bad_velocity_is_input_error(self, velocity):
         # an irrational ratio would otherwise end in InfeasibleDesignError
         with pytest.raises(ValueError, match="finite") as exc:
@@ -324,8 +360,8 @@ class TestNPath:
         # mass 0: multiple of 2*pi; mass 1: odd multiple of pi
         phi0 = phase_shift(design.delta_lengths[1], M_C12, 100.0)
         phi1 = phase_shift(design.delta_lengths[1], M_C14, 100.0)
-        assert abs(wrap_phase(phi0)) < 1e-9
-        assert abs(abs(wrap_phase(phi1)) - np.pi) < 1e-9
+        assert abs(math.remainder(phi0, 2 * math.pi)) < 1e-9
+        assert abs(abs(math.remainder(phi1, 2 * math.pi)) - np.pi) < 1e-9
 
     def test_three_species_678(self):
         masses = [6 * ATOMIC_MASS_KG, 7 * ATOMIC_MASS_KG, 8 * ATOMIC_MASS_KG]
@@ -356,7 +392,7 @@ class TestNPath:
         with pytest.raises(NonCommensurableMassesError):
             solve_n_path(species, 1.0, max_winding=33)
 
-    @pytest.mark.parametrize("max_winding", [1, 7, 20, 60, 200])
+    @pytest.mark.parametrize("max_winding", [1, 3, 7, 10, 20, 60, 200])
     def test_matches_brute_force(self, max_winding):
         feasible = infeasible = 0
         # descending masses: at max_winding = 1, x = 1 solves path 3's
@@ -370,14 +406,11 @@ class TestNPath:
                     solve_n_path(species, 3.0, max_winding=max_winding)
                 if isinstance(exc.value, NonCommensurableMassesError):
                     # a ratio's denominator exceeds N*max_winding: no path sorts
-                    assert set(report) == set(range(1, len(masses))), masses
+                    assert set(report["paths"]) == set(range(1, len(masses))), masses
                     continue
-                paths = exc.value.report["paths"]
-                assert set(paths) == set(report), masses
-                for s, info in report.items():
-                    assert paths[s]["min_residual_cycles"] == info["min_residual_cycles"]
-                    assert paths[s]["min_residual_rad"] == info["min_residual_rad"]
-                    check_obstruction(masses, s, paths[s]["obstruction"], max_winding)
+                assert without_obstructions(exc.value.report) == report, masses
+                for s, info in exc.value.report["paths"].items():
+                    check_obstruction(masses, s, info["obstruction"], max_winding)
                 continue
             feasible += 1
             design = solve_n_path(species, 3.0, max_winding=max_winding)
@@ -396,10 +429,7 @@ class TestNPath:
         species = [Species(f"m{k}", float(r) * 1e-26) for k, r in enumerate(ratios)]
         with pytest.raises(InfeasibleDesignError) as exc:
             solve_n_path(species, 3.0, max_winding=2000)
-        _, _, report = brute_force_n_path(proportions, 2000)
-        paths = exc.value.report["paths"]
-        assert {s: {k: v for k, v in info.items() if k != "obstruction"}
-                for s, info in paths.items()} == report
+        assert without_obstructions(exc.value.report) == brute_force_n_path(proportions, 2000)[2]
 
     @pytest.mark.parametrize("block", [45, 46])
     def test_residual_scan_in_blocks(self, monkeypatch, block):
@@ -411,9 +441,7 @@ class TestNPath:
         species = [Species(f"m{a}", a * ATOMIC_MASS_KG) for a in masses]
         with pytest.raises(InfeasibleDesignError) as exc:
             solve_n_path(species, 10.0, max_winding=100)
-        paths = exc.value.report["paths"]
-        assert {s: {k: v for k, v in info.items() if k != "obstruction"}
-                for s, info in paths.items()} == brute_force_n_path(masses, 100)[2]
+        assert without_obstructions(exc.value.report) == brute_force_n_path(masses, 100)[2]
 
     def test_residual_scan_within_budget(self, monkeypatch):
         # 2 paths * 2 rows residues per x: a budget of 120 stops the scan at
@@ -424,9 +452,8 @@ class TestNPath:
         with pytest.raises(InfeasibleDesignError) as exc:
             solve_n_path(species, 10.0, max_winding=100)
         assert exc.value.report["residual_x_max"] == 30
-        paths = exc.value.report["paths"]
-        assert {s: {k: v for k, v in info.items() if k != "obstruction"}
-                for s, info in paths.items()} == brute_force_n_path(masses, 30)[2]
+        assert without_obstructions(exc.value.report) == brute_force_n_path(
+            masses, 100, scan_stop=30)[2]
 
     def test_obstruction_names_row_and_gcd(self):
         # N = 5, A_0 = 12: A_k - k*A_1 = -12*(k - 1), so P = 1; row 1 reads
@@ -479,6 +506,13 @@ class TestNPath:
         species = [Species("a", 6e-26), Species("b", 7e-26)]
         with pytest.raises(ValueError, match="at least 1"):
             solve_n_path(species, 10.0, **bounds)
+
+    @pytest.mark.parametrize("max_winding", [7.5, 2000.0, True])
+    def test_max_winding_must_be_an_integer(self, max_winding):
+        species = [Species("a", 6e-26), Species("b", 7e-26)]
+        with pytest.raises(ValueError, match="max_winding must be an integer") as exc:
+            solve_n_path(species, 10.0, max_winding=max_winding)
+        assert not isinstance(exc.value, InfeasibleDesignError)
 
     @settings(deadline=None, max_examples=30)
     @given(factor=st.floats(0.01, 100.0, allow_nan=False))
@@ -587,7 +621,25 @@ class TestVerifyDesign:
                     for sp in design.species]
         assert np.array_equal(design.path_phases(), np.array(expected))
         assert np.array_equal(verify_design(design),
-                              wrap_phase(design.path_phases() - ideal_phases(design.n)))
+                              design.path_phases() - ideal_phases(design.n)
+                              - 2 * np.pi * np.array(design.windings, dtype=float))
+
+    @pytest.mark.parametrize("max_winding", [10, 60, 1000])
+    def test_windings_are_the_turns_of_the_path_phases(self, max_winding):
+        # seeded feasible designs, N = 2..7: the solver's integer windings are the
+        # turns that the float path phases make, and verify_design finds no residual
+        designs = 0
+        for masses in random_mass_sets(100 + max_winding, 200):
+            species = [Species(f"m{m}", m * ATOMIC_MASS_KG) for m in masses]
+            try:
+                design = solve_n_path(species, 7.0, max_winding=max_winding)
+            except InfeasibleDesignError:
+                continue
+            turns = np.rint((design.path_phases() - ideal_phases(design.n)) / (2 * np.pi))
+            assert np.array_equal(turns, np.array(design.windings)), masses
+            assert np.abs(verify_design(design)).max() <= design_module.PHASE_TOL, masses
+            designs += 1
+        assert designs >= 25
 
     def test_zero_length_design(self):
         species = [Species("a", 6e-26), Species("b", 7e-26), Species("c", 8e-26)]
@@ -596,7 +648,8 @@ class TestVerifyDesign:
                               delta_lengths=(0.0,) * n,
                               windings=((0,) * n,) * n)
         residuals = verify_design(design)
-        expected = wrap_phase(-2 * np.pi / n * np.outer(np.arange(n), np.arange(n)))
+        # every winding is 0, so the residuals are the unwrapped sorting phases
+        expected = -ideal_phases(n)
         assert np.abs(residuals - expected).max() < 1e-12
         assert abs(residuals[1, 1]) > 0.1
 
@@ -694,6 +747,8 @@ class TestJsonInterfaces:
         ({"n": 3}, "n is 3"),
         ({"n": "2"}, "n must be an integer"),
         ({"species": [{"name": "a", "mass_u": 6}]}, "species: sorting needs at least 2 species"),
+        ({"coupler": {"width_m": 1e-6, "length_m": 1e-5, "ports": 5}}, "coupler.ports is 5"),
+        ({"windings": [[0, 0], [0, -10**400]]}, "windings must lie within the float range"),
     ])
     def test_design_fields_checked_at_load(self, tmp_path, change, named):
         data = design_to_dict(solve_n_path([Species("a", 6e-26), Species("b", 7e-26)], 10.0))
