@@ -31,7 +31,6 @@ from .design import (
     InfeasibleDesignError,
     MmiGeometry,
     de_broglie_wavelength,
-    design_to_dict,
     load_design,
     load_species_file,
     mmi_length,

@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import operator
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -286,13 +287,11 @@ def _min_residual_cycles(a: list[int], paths: list[int],
     per_x = len(paths) * (n - 1)
     stop = min(max_winding, mod, max(1, _RESIDUAL_BUDGET // per_x))
     reach = (2 * max_winding + 1) * mod  # max_winding + 1/2, times 2*N*A_0
-    # t_k(x) < A_k*x/A_0 and t_k(1) > 1 - N, so often no row can leave the bound
-    if 2 * n * max(a) * stop > reach or n > max_winding + 1:
-        for k in range(1, n):
-            c, b = 2 * n * a[k], 2 * k * a[0]  # 2*N*A_0*t_k(x) = c*x - b*s
-            stop = min(stop, (reach + b * paths[0]) // c)
-            if c - b * paths[-1] < -reach:
-                stop = 0
+    for k in range(1, n):
+        c, b = 2 * n * a[k], 2 * k * a[0]  # 2*N*A_0*t_k(x) = c*x - b*s
+        stop = min(stop, (reach + b * paths[0]) // c)
+        if c - b * paths[-1] < -reach:
+            stop = 0
     if not stop:
         return [None] * len(paths), 0
     step = max(1, _RESIDUAL_BLOCK // per_x)
@@ -447,9 +446,12 @@ def require_number(value, field: str, *, positive: bool = False) -> float:
 
 def require_int(value, field: str) -> int:
     """A JSON integer; floats such as 1.5 or 2.0 are refused, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{field} must be an integer, got {value!r}")
-    return int(value)
+    if not isinstance(value, bool):  # bool is an int, but no count
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
 def require_sortable(n: int, field: str) -> None:
@@ -525,9 +527,18 @@ def design_from_dict(data: dict) -> SorterDesign:
         tuple(require_int(w, f"windings[{k}][{s}]")
               for s, w in enumerate(require_list(row, f"windings[{k}]", n)))
         for k, row in enumerate(require_list(data["windings"], "windings", n)))
-    if any(abs(w) > sys.float_info.max for row in windings for w in row):
-        raise ValueError("windings must lie within the float range: verify_design takes them "
-                         "as floats")
+    # verify_design's products, in its order of operations: 2*pi * n_ks, and the path
+    # phases 2*pi * dL_s * m_k * v / h, whose largest overflows exactly when one does
+    w_max = max(abs(w) for row in windings for w in row)
+    if not (w_max <= sys.float_info.max and math.isfinite(2.0 * math.pi * w_max)):
+        raise ValueError("windings must lie within the float range, and 2*pi times them too: "
+                         "verify_design takes them as floats")
+    dl_max = max(map(abs, delta_lengths))
+    m_max = max(sp.mass for sp in species)
+    if not math.isfinite(2.0 * math.pi * dl_max * m_max * velocity / PLANCK_H):
+        raise ValueError(f"path phases 2*pi * delta_L_m * mass_kg * velocity_mps / h overflow a "
+                         f"float: max |delta_L_m| = {dl_max!r}, max mass_kg = {m_max!r}, "
+                         f"velocity_mps = {velocity!r}")
     coupler = None
     if "coupler" in data:
         c = data["coupler"]

@@ -24,7 +24,7 @@ class PathFluctuation:
     delta_lengths: tuple[float, ...]
 
     def __post_init__(self):
-        if not all(np.isfinite(self.delta_lengths)):
+        if not all(map(math.isfinite, self.delta_lengths)):
             raise ValueError("path fluctuations must be finite")
 
 
@@ -41,9 +41,9 @@ class PhaseErrorVector:
             raise ValueError(f"need {self.n - 1} base errors, got {len(self.base_errors)}")
         if len(self.mass_ratios) != self.n:
             raise ValueError(f"need {self.n} mass ratios, got {len(self.mass_ratios)}")
-        if not all(np.isfinite(self.base_errors)):
+        if not all(map(math.isfinite, self.base_errors)):
             raise ValueError("base phase errors must be finite")
-        if not all(np.isfinite(self.mass_ratios)):
+        if not all(map(math.isfinite, self.mass_ratios)):
             raise ValueError("mass ratios must be finite")
 
     def phase_matrix(self) -> np.ndarray:
@@ -56,17 +56,23 @@ def error_phases(base_errors, mass_ratios) -> np.ndarray:
 
     `base_errors` holds the reference-mass errors of paths 1..N-1 along its
     last axis, shape [..., N-1]; the result has shape [..., N, N] (rows =
-    mass, columns = path), ready to add to ideal_phases(N).
+    mass, columns = path), ready to add to ideal_phases(N).  The one place
+    that refuses, with no numpy warning, phase errors that are not finite.
     """
     base = np.asarray(base_errors, dtype=float)
     path = np.zeros(base.shape[:-1] + (base.shape[-1] + 1,))
     path[..., 1:] = base
-    return np.asarray(mass_ratios, dtype=float)[:, None] * path[..., None, :]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        phases = np.asarray(mass_ratios, dtype=float)[:, None] * path[..., None, :]
+    if not np.isfinite(phases).all():
+        raise ValueError("phase errors must be finite: (m_k/m_0) * base overflows a float")
+    return phases
 
 
 def _base_phase_errors(d: np.ndarray, m0: float, velocity: float) -> np.ndarray:
     """2*pi * (dL_s - dL_0) * m_0 * v / h for path-length errors dL along the last axis."""
-    return phase_shift(d[..., 1:] - d[..., :1], m0, velocity)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused where the errors are used
+        return phase_shift(d[..., 1:] - d[..., :1], m0, velocity)
 
 
 def phases_from_fluctuation(
@@ -165,7 +171,8 @@ def sweep_leakage(
     """Leakage matrices over a (delta1, delta2) grid.
 
     Returns shape (len(delta1), len(delta2), n, n); the exit-0 probability
-    of mass 0 is grid[..., 0, 0].
+    of mass 0 is grid[..., 0, 0].  A grid point whose phase errors are not
+    finite is refused by error_phases.
     """
     d1s = np.atleast_1d(np.asarray(delta1_values, dtype=float))
     d2s = np.atleast_1d(np.asarray(delta2_values, dtype=float))
@@ -175,17 +182,10 @@ def sweep_leakage(
     n = ratios.size
     if n != 3:
         raise ValueError("the two-error sweep is defined for 3 paths")
-    if not (np.isfinite(d1s).all() and np.isfinite(d2s).all()):
-        raise ValueError("sweep phase errors must be finite")
     if not (np.isfinite(ratios).all() and ratios.min() > 0):
         raise ValueError(f"mass ratios must be positive and finite, got {mass_ratios}")
     base = np.stack(np.meshgrid(d1s, d2s, indexing="ij"), axis=-1)
-    with np.errstate(over="ignore"):  # an overflow is refused just below
-        phases = ideal_phases(n) + error_phases(base, ratios)
-    if not np.isfinite(phases).all():
-        raise ValueError("sweep phases (m_k/m_0) * delta overflow a float; "
-                         "narrow the phase ranges or the mass ratios")
-    return exit_probabilities(phases)
+    return exit_probabilities(ideal_phases(n) + error_phases(base, ratios))
 
 
 def write_sweep_csv(
@@ -237,7 +237,8 @@ def monte_carlo_leakage(
     draws fill one array, allocated before the first draw so that a trial
     count too large for memory fails at once, and are turned into phase
     errors in one batch, with the arithmetic of phases_from_fluctuation and
-    PhaseErrorVector.phase_matrix.
+    PhaseErrorVector.phase_matrix; error_phases refuses noise whose phase
+    errors overflow a float.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -250,13 +251,8 @@ def monte_carlo_leakage(
                       .normal(0.0, sigma_length, size=n))
     m0 = design.species[0].mass
     ratios = [sp.mass / m0 for sp in design.species]
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
-        base = _base_phase_errors(lengths, m0, design.velocity)
-        phases = ideal_phases(n) + error_phases(base, ratios)
-    if not np.isfinite(phases).all():
-        raise ValueError("path-noise phase errors must be finite; "
-                         "the design's masses and velocity overflow them")
-    probs = exit_probabilities(phases)
+    base = _base_phase_errors(lengths, m0, design.velocity)
+    probs = exit_probabilities(ideal_phases(n) + error_phases(base, ratios))
     diagonals = np.diagonal(probs, axis1=-2, axis2=-1)
     return MonteCarloResult(
         mean=tuple(diagonals.mean(axis=0)),

@@ -195,7 +195,8 @@ def run_experiment(config: dict) -> dict:
 
     Config schema: {species: [{name, mass_kg|mass_u}, ...], velocity_mps,
     abundances, total_particles, seed, errors: {delta_phi_rad: [...] |
-    sigma_L_m}}.  The result contains only seed-deterministic fields.
+    sigma_L_m}}; errors is optional and holds at most one of its two keys.
+    The result contains only seed-deterministic fields.
     """
     if not isinstance(config, dict):
         raise ValueError(f"a config must be a JSON object, got {type(config).__name__}")
@@ -222,6 +223,12 @@ def run_experiment(config: dict) -> dict:
         errors = {}
     if not isinstance(errors, dict):
         raise ValueError(f"config key 'errors' must be an object, got {errors!r}")
+    for key in errors:
+        if key not in ("delta_phi_rad", "sigma_L_m"):
+            raise ValueError(f"config key 'errors' has unknown key {key!r}; "
+                             f"it takes delta_phi_rad or sigma_L_m")
+    if len(errors) > 1:
+        raise ValueError("config key 'errors' takes delta_phi_rad or sigma_L_m, not both")
     m0 = species[0].mass
     ratios = tuple(sp.mass / m0 for sp in species)
     if "delta_phi_rad" in errors:

@@ -329,16 +329,17 @@ class TestVerifyCommand:
         assert "velocity_mps, species, delta_L_m, windings" in capsys.readouterr().err
 
     def test_nan_residual_is_invalid(self, tmp_path, capsys):
-        # m * v overflows below c, so the residuals are not finite: never "design valid"
+        # m * v overflows below c, so the path phases would not be finite: refused at
+        # load, never "design valid" (a numpy warning would fail the test, as any does)
         path = tmp_path / "design.json"
         path.write_text(json.dumps({
             "velocity_mps": 2e8, "delta_L_m": [0.0, 1e-9], "windings": [[0, 0], [0, 0]],
             "species": [{"name": "a", "mass_kg": 1e300}, {"name": "b", "mass_kg": 2e300}],
         }))
-        with pytest.warns(RuntimeWarning):
-            assert main(["verify", str(path)]) == 2
+        assert main(["verify", str(path)]) == 1
         captured = capsys.readouterr()
-        assert "design valid" not in captured.out and "INVALID" in captured.err
+        assert "design valid" not in captured.out and "INVALID" not in captured.err
+        assert "path phases" in captured.err and "mass_kg" in captured.err
 
     @pytest.mark.parametrize("payload", [[1, 2], 5, "design", None])
     def test_non_object_design_exit_1(self, tmp_path, capsys, payload):
@@ -445,7 +446,6 @@ class TestMonteCarloCommand:
         assert "--seed" in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("error")  # a numpy warning before the refusal fails
     def test_overflowing_heavy_species_phases_exit_1(self, tmp_path, capsys):
         # the base phase errors at 1e296 m are finite, (m_1/m_0) * base is not
         species = tmp_path / "species.json"
@@ -541,6 +541,8 @@ class TestSimulateCommand:
         ({"species": [{"name": "C12", "mass_u": [12]}, {"name": "C13", "mass_u": 13},
                       {"name": "C14", "mass_u": 14}]}, "mass_u"),
         ({"velocity_mps": 1e300}, "below c"),
+        ({"errors": {"sigma_l_m": 1e-10}}, "unknown key 'sigma_l_m'"),
+        ({"errors": {"delta_phi_rad": [0.1, 0.2], "sigma_L_m": 1e-10}}, "not both"),
     ])
     def test_bad_config_exit_1(self, experiment_file, tmp_path, capsys, change, named):
         config = json.loads(experiment_file.read_text())
@@ -634,7 +636,8 @@ class TestBadSpeciesFile:
 
 # --- fuzzing: one field of a valid input file replaced by a bad value ---------
 
-FUZZ_VALUES = [None, True, "x", [], {}, [[0.1]], math.nan, math.inf, -math.inf, -1, 0]
+FUZZ_VALUES = [None, True, "x", [], {}, [[0.1]], math.nan, math.inf, -math.inf, -1, 0,
+               1e300, -1e300, 1.7e308]
 FUZZ_SPECIES = [{"name": "C12", "mass_u": 12}, {"name": "C13", "mass_u": 13},
                 {"name": "C14", "mass_u": 14}]
 
@@ -690,6 +693,27 @@ def _replaced(doc, path, value):
         parent = parent[key]
     parent[path[-1]] = copy.deepcopy(value)
     return doc
+
+
+@pytest.mark.parametrize("kind, path, value, message", [
+    ("config_sigma", ("errors", "sigma_L_m"), 1e300, "base phase errors must be finite"),
+    ("config_phi", ("errors", "delta_phi_rad", 0), 1.7e308, "phase errors must be finite"),
+    ("design", ("species", 1, "mass_kg"), 1e300, "path phases"),
+    ("design", ("delta_L_m", 2), 1.7e308, "path phases"),
+], ids=["sigma_L_m", "delta_phi_rad", "mass_kg", "delta_L_m"])
+def test_overflowing_phases_exit_1_without_warning(tmp_path, kind, path, value, message):
+    # in a child process, whose real stderr shows any numpy warning
+    doc, commands = FUZZ_DOCUMENTS[kind]
+    file = tmp_path / "input.json"
+    file.write_text(json.dumps(_replaced(doc, path, value)))
+    out = tmp_path / "out.json"
+    for command in commands:
+        proc = run_child([str(file) if a == "{file}" else str(out) if a == "{out}" else a
+                          for a in command])
+        assert proc.returncode == 1, (command, proc.stderr)
+        assert message in proc.stderr, command
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr, command
+        assert not list(tmp_path.glob("out.json*")), command
 
 
 @settings(deadline=None, max_examples=300)
@@ -751,7 +775,6 @@ def run_fuzzed_flags(argv, out) -> int:
     return code
 
 
-@pytest.mark.filterwarnings("error")  # a warning printed before a refusal escapes too
 @settings(deadline=None, max_examples=300)
 @given(species=st.sampled_from(sorted(FLAG_FUZZ_SPECIES)),
        flag=st.sampled_from(["--velocity", "--mmi-width", "--max-winding"]),
@@ -778,7 +801,6 @@ def _flag_fuzz_cases():
                     yield command, flag, value
 
 
-@pytest.mark.filterwarnings("error")  # a warning printed before a refusal escapes too
 @pytest.mark.parametrize("command, flag, value", list(_flag_fuzz_cases()))
 def test_fuzzed_flag_never_escapes(tmp_path, command, flag, value):
     species = tmp_path / "species.json"

@@ -26,6 +26,7 @@ from interfsort.design import (
     mmi_length,
     path_error_budget,
     phase_shift,
+    require_int,
     solve_n_path,
     solve_two_species,
     species_from_obj,
@@ -749,6 +750,10 @@ class TestJsonInterfaces:
         ({"species": [{"name": "a", "mass_u": 6}]}, "species: sorting needs at least 2 species"),
         ({"coupler": {"width_m": 1e-6, "length_m": 1e-5, "ports": 5}}, "coupler.ports is 5"),
         ({"windings": [[0, 0], [0, -10**400]]}, "windings must lie within the float range"),
+        ({"windings": [[0, 0], [0, 10**308]]}, "2*pi times them too"),  # 2*pi*n_ks is inf
+        ({"species": [{"name": "a", "mass_kg": 6e-26}, {"name": "b", "mass_kg": 1e300}]},
+         "path phases 2*pi * delta_L_m * mass_kg * velocity_mps / h overflow"),
+        ({"delta_L_m": [0.0, -1.7e308]}, "max |delta_L_m| = 1.7e+308"),
     ])
     def test_design_fields_checked_at_load(self, tmp_path, change, named):
         data = design_to_dict(solve_n_path([Species("a", 6e-26), Species("b", 7e-26)], 10.0))
@@ -775,6 +780,19 @@ class TestJsonInterfaces:
     def test_species_fields_checked(self, obj, named):
         with pytest.raises(ValueError, match=named):
             species_from_obj(obj)
+
+    @pytest.mark.parametrize("value, accepted", [
+        (3, True), (np.int64(3), True), (10**400, True),
+        (True, False), (np.bool_(True), False), (2.0, False), (np.float64(2.0), False),
+        ("3", False),
+    ])
+    def test_require_int_accepts_integers_only(self, value, accepted):
+        if accepted:
+            got = require_int(value, "count")
+            assert got == value and type(got) is int
+        else:
+            with pytest.raises(ValueError, match="count must be an integer"):
+                require_int(value, "count")
 
     def test_bad_species_entry(self):
         with pytest.raises(ValueError):

@@ -85,6 +85,12 @@ class TestPhasesFromFluctuation:
         with pytest.raises(ValueError):
             phases_from_fluctuation(PathFluctuation((0.0, 1e-9)), self.SPECIES, 10.0)
 
+    @pytest.mark.parametrize("lengths", [(0.0, 1e300, 0.0), (-1.7e308, 0.0, 1.7e308)])
+    def test_overflowing_base_errors_refused(self, lengths):
+        # refused by PhaseErrorVector, with no numpy warning on the way
+        with pytest.raises(ValueError, match="base phase errors must be finite"):
+            phases_from_fluctuation(PathFluctuation(lengths), self.SPECIES, 10.0)
+
 
 class TestErrorPhases:
     def test_batch_matches_per_entry_loop(self):
@@ -99,6 +105,16 @@ class TestErrorPhases:
                 assert out[idx][k, 0] == 0.0
                 for s in range(1, n):
                     assert out[idx][k, s] == ratios[k] * base[idx][s - 1]
+
+    @pytest.mark.parametrize("base, ratios", [
+        ([1.7e308], (1.0, 2.0)),           # (m_1/m_0) * base overflows
+        ([[0.1], [np.nan]], (1.0, 1.5)),   # one batch entry is NaN
+        ([np.inf, 0.0], (1.0, 1.2, 1.4)),
+        ([0.1], (1.0, np.inf)),            # inf * 0 on path 0 is NaN
+    ])
+    def test_not_finite_refused(self, base, ratios):
+        with pytest.raises(ValueError, match="phase errors must be finite"):
+            error_phases(base, ratios)
 
 
 class TestPhaseErrorValidation:
@@ -413,8 +429,8 @@ class TestMonteCarlo:
 
     def test_overflowing_phases_rejected(self):
         species = (Species("a", 1e300), Species("b", 2e300))
-        design = SorterDesign(1e300, species, (0.0, 1e-9), ((0, 0), (0, 0)))
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        design = SorterDesign(2e8, species, (0.0, 1e-9), ((0, 0), (0, 0)))
+        with pytest.raises(ValueError, match="phase errors must be finite"):
             monte_carlo_leakage(design, 1e-10, trials=3, seed=0)
 
     def test_validation(self):

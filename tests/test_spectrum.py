@@ -491,6 +491,16 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="object"):
             run_experiment([self.CONFIG])
 
+    @pytest.mark.parametrize("errors, match", [
+        ({"sigma_l_m": 1e-10}, "unknown key 'sigma_l_m'"),
+        ({"delta_phi_rad": [0.1, 0.2], "noise": 1}, "unknown key 'noise'"),
+        ({"delta_phi_rad": [0.1, 0.2], "sigma_L_m": 1e-10}, "delta_phi_rad or sigma_L_m, not both"),
+    ])
+    def test_errors_misread_rejected(self, errors, match):
+        # a typo would simulate the ideal sorter, both keys would drop the noise
+        with pytest.raises(ValueError, match=match):
+            run_experiment(dict(self.CONFIG, errors=errors))
+
     def test_numpy_integers_accepted(self):
         config = dict(self.CONFIG, total_particles=np.int64(200000), seed=np.int64(77))
         assert run_experiment(config) == run_experiment(self.CONFIG)
