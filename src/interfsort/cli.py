@@ -5,8 +5,9 @@ All quantities are SI: masses in kg (or unified atomic mass units in
 species files via mass_u), velocities in m/s, lengths in m, phases in rad.
 Every output file gets a sibling <file>.manifest.json sufficient to
 reproduce it bit-exactly.  numpy is loaded by the commands that compute
-arrays (verify, sweep, montecarlo, simulate); design, unless the design is
-infeasible, and ams-compare run without it.
+arrays (sweep, montecarlo, simulate); verify, whose N x N residuals are
+plain floats, design, unless the design is infeasible, and ams-compare run
+without it.
 
 Exit codes: 0 success, 1 usage or input error, 2 infeasible design.
 """
@@ -150,7 +151,8 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--phase-tol must be non-negative and below pi, got {args.phase_tol}")
     design = load_design(args.design_file)
     residuals = verify_design(design)
-    worst = float(np.abs(residuals).max())
+    magnitudes = [abs(r) for row in residuals for r in row]
+    worst = math.nan if any(map(math.isnan, magnitudes)) else max(magnitudes)
     print("phase residuals [rad] (rows = mass index k, columns = path s):")
     for row in residuals:
         print("  " + "  ".join(f"{r: .3e}" for r in row))

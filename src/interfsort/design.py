@@ -111,14 +111,20 @@ class SorterDesign:
     def n(self) -> int:
         return len(self.species)
 
-    def path_phases(self) -> np.ndarray:
-        """(N, N) accumulated phases 2*pi * dL_s * m_k * v / h, rows = mass k.
+    def path_phases(self) -> tuple[tuple[float, ...], ...]:
+        """N x N accumulated phases 2*pi * dL_s * m_k * v / h, as rows = mass k of floats.
 
-        The fields are trusted: they are checked where a design is built
-        (solve_n_path, design_from_dict), not on every call.
+        Plain floats, so that verifying a design loads no numpy; np.asarray
+        takes the rows as an (N, N) array.  Each entry is phase_shift(dL_s,
+        m_k, v), written out in its order of operations with the velocity
+        checked once: N**2 calls cost twice as much at N = 7.  The fields
+        are trusted: they are checked where a design is built (solve_n_path,
+        design_from_dict), not on every call.
         """
-        masses = np.array([sp.mass for sp in self.species])
-        return phase_shift(np.array(self.delta_lengths), masses[:, None], self.velocity)
+        v = self.velocity
+        require_velocity(v)
+        return tuple([tuple([2.0 * math.pi * dl * sp.mass * v / PLANCK_H
+                             for dl in self.delta_lengths]) for sp in self.species])
 
 
 def require_velocity(velocity: float) -> None:
@@ -380,15 +386,19 @@ def ideal_phases(n: int) -> np.ndarray:
     return 2.0 * np.pi / n * np.outer(np.arange(n), np.arange(n))
 
 
-def verify_design(design: SorterDesign) -> np.ndarray:
+def verify_design(design: SorterDesign) -> tuple[tuple[float, ...], ...]:
     """Per-(k, s) residual of the sorting condition with the design's own windings.
 
     r_{k,s} = 2*pi * dL_s * m_k * v / h - 2*pi*k*s/N - 2*pi*n_{k,s}, unwrapped:
     a wrong winding leaves a residual of at least pi.  The design is valid
-    iff max |r| <= PHASE_TOL.
+    iff max |r| <= PHASE_TOL.  Rows = mass k of plain floats, each entry
+    formed as path_phases() - ideal_phases(N) - 2*pi*windings would form it.
     """
-    return (design.path_phases() - ideal_phases(design.n)
-            - 2.0 * np.pi * np.array(design.windings, dtype=float))
+    n = design.n
+    step, turn = 2.0 * math.pi / n, 2.0 * math.pi
+    return tuple([tuple([p - step * (k * s) - turn * w
+                         for s, p, w in zip(range(n), phases, turns)])
+                  for k, phases, turns in zip(range(n), design.path_phases(), design.windings)])
 
 
 def distinct_phases_check(n: int, k: int) -> bool:
@@ -527,8 +537,9 @@ def design_from_dict(data: dict) -> SorterDesign:
         tuple(require_int(w, f"windings[{k}][{s}]")
               for s, w in enumerate(require_list(row, f"windings[{k}]", n)))
         for k, row in enumerate(require_list(data["windings"], "windings", n)))
-    # verify_design's products, in its order of operations: 2*pi * n_ks, and the path
-    # phases 2*pi * dL_s * m_k * v / h, whose largest overflows exactly when one does
+    # verify_design's float products, in its order of operations: 2*pi * n_ks (an int
+    # past the float range would raise OverflowError there), and the path phases
+    # 2*pi * dL_s * m_k * v / h, whose largest overflows exactly when one does
     w_max = max(abs(w) for row in windings for w in row)
     if not (w_max <= sys.float_info.max and math.isfinite(2.0 * math.pi * w_max)):
         raise ValueError("windings must lie within the float range, and 2*pi times them too: "

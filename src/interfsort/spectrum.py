@@ -201,6 +201,10 @@ def run_experiment(config: dict) -> dict:
     if not isinstance(config, dict):
         raise ValueError(f"a config must be a JSON object, got {type(config).__name__}")
     require_keys(config, CONFIG_KEYS, "config")
+    for key in config:
+        if key not in CONFIG_KEYS + ("errors",):
+            raise ValueError(f"config has unknown key {key!r}; it takes "
+                             f"{', '.join(CONFIG_KEYS)} and errors")
     species = tuple(species_from_obj(obj)
                     for obj in require_list(config["species"], "config key 'species'"))
     n = len(species)

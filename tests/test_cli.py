@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from interfsort import cli
 from interfsort.cli import main
+from interfsort.constants import ATOMIC_MASS_KG, PLANCK_H
 
 ROOT = Path(__file__).resolve().parents[1]
 M_C12 = 1.99e-26
@@ -341,6 +343,36 @@ class TestVerifyCommand:
         assert "design valid" not in captured.out and "INVALID" not in captured.err
         assert "path phases" in captured.err and "mass_kg" in captured.err
 
+    def test_overflowing_residual_invalid_without_warning(self, tmp_path):
+        # path phase -1.5e308 rad and 2*pi*n_11 = +1.26e308 both pass the load checks,
+        # but their difference overflows: -inf, INVALID, with no numpy warning
+        mass = 13 * ATOMIC_MASS_KG
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps({
+            "velocity_mps": 50.0,
+            "delta_L_m": [0.0, -1.5e308 * PLANCK_H / (2 * math.pi * mass * 50.0)],
+            "windings": [[0, 0], [0, 2 * 10**307]],
+            "species": [{"name": "C12", "mass_kg": 12 * ATOMIC_MASS_KG},
+                        {"name": "C13", "mass_kg": mass}],
+        }))
+        proc = run_child(["verify", str(path)])
+        assert proc.returncode == 2, proc.stderr
+        assert "-inf" in proc.stdout and "design valid" not in proc.stdout
+        assert "design INVALID" in proc.stderr
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_nan_residual_fails_the_check(self, carbon_file, tmp_path, capsys, monkeypatch):
+        # no loaded design yields a NaN residual, but one would fail wherever it stands
+        path = tmp_path / "design.json"
+        main(["design", str(carbon_file), "--velocity", "100", "--out", str(path)])
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "verify_design",
+                            lambda design: ((0.0, 0.0), (math.nan, 1e-12)))
+        assert main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "max |residual| = nan rad" in captured.out
+        assert "design valid" not in captured.out and "design INVALID" in captured.err
+
     @pytest.mark.parametrize("payload", [[1, 2], 5, "design", None])
     def test_non_object_design_exit_1(self, tmp_path, capsys, payload):
         path = tmp_path / "listed.json"
@@ -543,6 +575,7 @@ class TestSimulateCommand:
         ({"velocity_mps": 1e300}, "below c"),
         ({"errors": {"sigma_l_m": 1e-10}}, "unknown key 'sigma_l_m'"),
         ({"errors": {"delta_phi_rad": [0.1, 0.2], "sigma_L_m": 1e-10}}, "not both"),
+        ({"error": {"delta_phi_rad": [0.1, 0.2]}}, "unknown key 'error'"),  # typo of errors
     ])
     def test_bad_config_exit_1(self, experiment_file, tmp_path, capsys, change, named):
         config = json.loads(experiment_file.read_text())

@@ -607,7 +607,7 @@ class TestVerifyDesign:
         perturbed = SorterDesign(velocity=design.velocity, species=design.species,
                                  delta_lengths=tuple(dl), windings=design.windings)
         residuals = verify_design(perturbed)
-        assert abs(residuals[0, 1]) == pytest.approx(np.pi / n, rel=1e-9)
+        assert abs(residuals[0][1]) == pytest.approx(np.pi / n, rel=1e-9)
 
     def test_ideal_phases_entries(self):
         for n in (1, 2, 5):
@@ -643,16 +643,48 @@ class TestVerifyDesign:
         assert designs >= 25
 
     def test_zero_length_design(self):
-        species = [Species("a", 6e-26), Species("b", 7e-26), Species("c", 8e-26)]
-        n = 3
-        design = SorterDesign(velocity=1.0, species=tuple(species),
-                              delta_lengths=(0.0,) * n,
-                              windings=((0,) * n,) * n)
-        residuals = verify_design(design)
-        # every winding is 0, so the residuals are the unwrapped sorting phases
-        expected = -ideal_phases(n)
-        assert np.abs(residuals - expected).max() < 1e-12
-        assert abs(residuals[1, 1]) > 0.1
+        # every winding is 0, so the residuals are the unwrapped sorting phases, exactly;
+        # at N = 13, unlike N <= 12, 2*pi/N and 2/N*pi differ in the last bit
+        for n in (3, 13):
+            design = SorterDesign(velocity=1.0,
+                                  species=tuple(Species(f"m{k}", (6 + k) * 1e-26)
+                                                for k in range(n)),
+                                  delta_lengths=(0.0,) * n,
+                                  windings=((0,) * n,) * n)
+            residuals = verify_design(design)
+            assert np.array_equal(residuals, -ideal_phases(n)), n
+            assert abs(residuals[1][1]) > 0.1
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_float_residuals_match_the_array_expression(self, seed):
+        # the plain-float path phases and residuals against the numpy expression they
+        # replace, bit for bit, on seeded feasible designs as solved and with one
+        # offset perturbed; this also pins the inline 2*pi/N * k*s to ideal_phases
+        rng = random.Random(seed)
+        designs = 0
+        for masses in random_mass_sets(500 + seed, 150):
+            species = [Species(f"m{m}", m * ATOMIC_MASS_KG) for m in masses]
+            velocity = 10 ** rng.uniform(0, 3)
+            try:
+                solved = solve_n_path(species, velocity)
+            except InfeasibleDesignError:
+                continue
+            dl = list(solved.delta_lengths)
+            dl[rng.randrange(1, solved.n)] *= 1 + 1e-6
+            for design in (solved, SorterDesign(velocity=velocity, species=solved.species,
+                                                delta_lengths=tuple(dl),
+                                                windings=solved.windings)):
+                n = design.n
+                phases = phase_shift(np.array(design.delta_lengths),
+                                     np.array([sp.mass for sp in design.species])[:, None],
+                                     velocity)
+                expected = (phases - ideal_phases(n)
+                            - 2.0 * np.pi * np.array(design.windings, dtype=float))
+                # tobytes also tells -0.0 from 0.0, which verify prints differently
+                assert np.array(design.path_phases()).tobytes() == phases.tobytes(), masses
+                assert np.array(verify_design(design)).tobytes() == expected.tobytes(), masses
+            designs += 1
+        assert designs >= 25
 
     def test_implied_velocity_for_unit_winding(self):
         # dL_1 = 1 nm and one full winding for the reference mass

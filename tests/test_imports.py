@@ -77,9 +77,9 @@ def test_cold_commands_load_numpy_only_for_arrays(tmp_path):
         ["design", str(species), "--velocity", "100", "--mmi-width", "1e-6",
          "--out", "design.json"],
         ["ams-compare", str(species), "--velocity", "1e5", "--out", "ams.json"],
+        ["verify", "design.json"],
     ]
     with_numpy = [
-        ["verify", "design.json"],
         ["sweep", "--delta1-range", "0,0.1", "--delta2-range", "0,0.1", "--steps", "3",
          "--out", "sweep.csv"],
         ["montecarlo", "design.json", "--sigma-l", "1e-11", "--trials", "5",
