@@ -433,14 +433,23 @@ def path_error_budget(wavelengths: list[float], n: int) -> float:
 
 # --- JSON interfaces -------------------------------------------------------
 #
-# Species, design and simulate-config files are checked here, once, where
-# they are read: every malformed value raises a ValueError naming its field.
+# Species, design and simulate-config files are checked here, once, where they
+# are read: require_keys refuses a missing or an unknown key in every object, and
+# every malformed value raises a ValueError naming its field.
 
-def require_keys(obj: dict, keys, what: str) -> None:
-    """Raise naming every key of `keys` that the object `what` lacks."""
-    missing = [key for key in keys if key not in obj]
+def require_keys(obj: dict, what: str, required=(), optional=()) -> dict:
+    """Return the JSON object `what`, refused if it lacks a required key or holds a
+    key that is neither required nor optional."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    missing = [key for key in required if key not in obj]
     if missing:
         raise ValueError(f"{what} is missing required key(s): {', '.join(missing)}")
+    for key in obj:
+        if key not in required and key not in optional:
+            raise ValueError(f"{what} has unknown key {key!r}; it takes "
+                             f"{', '.join((*required, *optional))}")
+    return obj
 
 
 def require_number(value, field: str, *, positive: bool = False) -> float:
@@ -480,18 +489,16 @@ def require_list(value, field: str, length: int | None = None) -> list:
 
 def species_from_obj(obj: dict) -> Species:
     """Parse {name, mass_kg} or {name, mass_u} into a Species."""
-    if not isinstance(obj, dict) or "name" not in obj:
-        raise ValueError(f"a species must be an object with a name, got {obj!r}")
-    name = obj["name"]
+    name = require_keys(obj, "a species", ("name",), ("mass_kg", "mass_u"))["name"]
     if not isinstance(name, str):
         raise ValueError(f"a species name must be a string, got {name!r}")
+    if ("mass_kg" in obj) == ("mass_u" in obj):
+        raise ValueError(f"species {name!r}: need exactly one of mass_kg and mass_u")
     if "mass_kg" in obj:
         mass = require_number(obj["mass_kg"], f"species {name!r}: mass_kg", positive=True)
-    elif "mass_u" in obj:
+    else:
         mass = require_number(obj["mass_u"], f"species {name!r}: mass_u",
                               positive=True) * ATOMIC_MASS_KG
-    else:
-        raise ValueError(f"species {name!r}: need mass_kg or mass_u")
     return Species(name=name, mass=mass)
 
 
@@ -521,9 +528,8 @@ def design_to_dict(design: SorterDesign) -> dict:
 
 def design_from_dict(data: dict) -> SorterDesign:
     """Check and parse a design object as design_to_dict writes it."""
-    if not isinstance(data, dict):
-        raise ValueError(f"a design must be a JSON object, got {type(data).__name__}")
-    require_keys(data, ("velocity_mps", "species", "delta_L_m", "windings"), "design")
+    require_keys(data, "design", ("velocity_mps", "species", "delta_L_m", "windings"),
+                 ("n", "coupler"))
     velocity = require_number(data["velocity_mps"], "velocity_mps", positive=True)
     require_velocity(velocity)
     species = tuple(species_from_obj(obj) for obj in require_list(data["species"], "species"))
@@ -537,25 +543,15 @@ def design_from_dict(data: dict) -> SorterDesign:
         tuple(require_int(w, f"windings[{k}][{s}]")
               for s, w in enumerate(require_list(row, f"windings[{k}]", n)))
         for k, row in enumerate(require_list(data["windings"], "windings", n)))
-    # verify_design's float products, in its order of operations: 2*pi * n_ks (an int
-    # past the float range would raise OverflowError there), and the path phases
-    # 2*pi * dL_s * m_k * v / h, whose largest overflows exactly when one does
+    # verify_design forms 2*pi * n_ks as a float: an int past the float range would
+    # raise OverflowError there
     w_max = max(abs(w) for row in windings for w in row)
     if not (w_max <= sys.float_info.max and math.isfinite(2.0 * math.pi * w_max)):
         raise ValueError("windings must lie within the float range, and 2*pi times them too: "
                          "verify_design takes them as floats")
-    dl_max = max(map(abs, delta_lengths))
-    m_max = max(sp.mass for sp in species)
-    if not math.isfinite(2.0 * math.pi * dl_max * m_max * velocity / PLANCK_H):
-        raise ValueError(f"path phases 2*pi * delta_L_m * mass_kg * velocity_mps / h overflow a "
-                         f"float: max |delta_L_m| = {dl_max!r}, max mass_kg = {m_max!r}, "
-                         f"velocity_mps = {velocity!r}")
     coupler = None
     if "coupler" in data:
-        c = data["coupler"]
-        if not isinstance(c, dict):
-            raise ValueError(f"coupler must be an object, got {c!r}")
-        require_keys(c, ("width_m", "length_m", "ports"), "coupler")
+        c = require_keys(data["coupler"], "coupler", ("width_m", "length_m", "ports"))
         ports = require_int(c["ports"], "coupler.ports")
         if ports != n:
             raise ValueError(f"coupler.ports is {ports}, but species lists {n}")
@@ -563,8 +559,14 @@ def design_from_dict(data: dict) -> SorterDesign:
                               length=require_number(c["length_m"], "coupler.length_m",
                                                     positive=True),
                               ports=ports)
-    return SorterDesign(velocity=velocity, species=species, delta_lengths=delta_lengths,
-                        windings=windings, coupler=coupler)
+    design = SorterDesign(velocity=velocity, species=species, delta_lengths=delta_lengths,
+                          windings=windings, coupler=coupler)
+    if not all(math.isfinite(p) for row in design.path_phases() for p in row):
+        raise ValueError(f"path phases 2*pi * delta_L_m * mass_kg * velocity_mps / h overflow a "
+                         f"float: max |delta_L_m| = {max(map(abs, delta_lengths))!r}, max "
+                         f"mass_kg = {max(sp.mass for sp in species)!r}, "
+                         f"velocity_mps = {velocity!r}")
+    return design
 
 
 def save_design(design: SorterDesign, path: str | Path) -> None:

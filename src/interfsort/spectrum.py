@@ -196,15 +196,10 @@ def run_experiment(config: dict) -> dict:
     Config schema: {species: [{name, mass_kg|mass_u}, ...], velocity_mps,
     abundances, total_particles, seed, errors: {delta_phi_rad: [...] |
     sigma_L_m}}; errors is optional and holds at most one of its two keys.
+    Every object is read by require_keys: a missing or unknown key raises.
     The result contains only seed-deterministic fields.
     """
-    if not isinstance(config, dict):
-        raise ValueError(f"a config must be a JSON object, got {type(config).__name__}")
-    require_keys(config, CONFIG_KEYS, "config")
-    for key in config:
-        if key not in CONFIG_KEYS + ("errors",):
-            raise ValueError(f"config has unknown key {key!r}; it takes "
-                             f"{', '.join(CONFIG_KEYS)} and errors")
+    require_keys(config, "config", CONFIG_KEYS, ("errors",))
     species = tuple(species_from_obj(obj)
                     for obj in require_list(config["species"], "config key 'species'"))
     n = len(species)
@@ -225,12 +220,7 @@ def run_experiment(config: dict) -> dict:
     errors = config.get("errors")
     if errors is None:
         errors = {}
-    if not isinstance(errors, dict):
-        raise ValueError(f"config key 'errors' must be an object, got {errors!r}")
-    for key in errors:
-        if key not in ("delta_phi_rad", "sigma_L_m"):
-            raise ValueError(f"config key 'errors' has unknown key {key!r}; "
-                             f"it takes delta_phi_rad or sigma_L_m")
+    require_keys(errors, "config key 'errors'", optional=("delta_phi_rad", "sigma_L_m"))
     if len(errors) > 1:
         raise ValueError("config key 'errors' takes delta_phi_rad or sigma_L_m, not both")
     m0 = species[0].mass

@@ -299,6 +299,9 @@ class TestVerifyCommand:
         ({"coupler": {"width_m": 1e-6, "length_m": 1e-5, "ports": 5}}, "coupler.ports"),
         ({"windings": [[0, 10**400], [0, 0]]}, "windings"),
         ({"velocity_mps": 3e8}, "below c"),
+        # mass_kg was read and mass_u dropped: the design was reported valid
+        ({"species": [{"name": "C12", "mass_kg": M_C12},
+                      {"name": "C14", "mass_kg": M_C12 * 7 / 6, "mass_u": 99}]}, "mass_u"),
     ])
     def test_bad_design_field_exit_1(self, carbon_file, tmp_path, capsys, change, named):
         path = tmp_path / "design.json"
@@ -576,6 +579,8 @@ class TestSimulateCommand:
         ({"errors": {"sigma_l_m": 1e-10}}, "unknown key 'sigma_l_m'"),
         ({"errors": {"delta_phi_rad": [0.1, 0.2], "sigma_L_m": 1e-10}}, "not both"),
         ({"error": {"delta_phi_rad": [0.1, 0.2]}}, "unknown key 'error'"),  # typo of errors
+        ({"species": [{"name": "C12", "mass_u": 12, "charge_e": 1}, {"name": "C13", "mass_u": 13},
+                      {"name": "C14", "mass_u": 14}]}, "unknown key 'charge_e'"),
     ])
     def test_bad_config_exit_1(self, experiment_file, tmp_path, capsys, change, named):
         config = json.loads(experiment_file.read_text())
@@ -665,6 +670,21 @@ class TestBadSpeciesFile:
         err = capsys.readouterr().err
         assert "mass_u" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("design", ["--velocity", "100"]),
+        ("ams-compare", ["--velocity", "1e5", "--b-field", "1"]),
+    ])
+    def test_both_mass_units_exit_1(self, tmp_path, capsys, command, flags):
+        # mass_kg was read and mass_u dropped: a 1e-20 kg species labelled 14 u
+        species = tmp_path / "species.json"
+        species.write_text(json.dumps([{"name": "C12", "mass_u": 12},
+                                       {"name": "C14", "mass_u": 14, "mass_kg": 1e-20}]))
+        out = tmp_path / "out.json"
+        assert main([command, str(species), *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "mass_u" in err and "Traceback" not in err
+        assert not list(tmp_path.glob("out.json*"))
 
 
 # --- fuzzing: one field of a valid input file replaced by a bad value ---------
@@ -768,6 +788,42 @@ def test_fuzzed_input_file_never_escapes(target, value):
             elif out.exists():
                 text = out.read_text()
                 assert "NaN" not in text and "Infinity" not in text, (argv, path, value)
+
+
+# every key that some input object takes; any other key in any object exits 1
+KNOWN_KEYS = {"name", "mass_kg", "mass_u", "n", "velocity_mps", "species", "delta_L_m",
+              "windings", "coupler", "width_m", "length_m", "ports", "abundances",
+              "total_particles", "seed", "errors", "delta_phi_rad", "sigma_L_m"}
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+OBJECT_TARGETS = [(kind, path) for kind, path in FUZZ_TARGETS
+                  if isinstance(_at(FUZZ_DOCUMENTS[kind][0], path), dict)]
+
+
+@settings(deadline=None, max_examples=200)
+@given(target=st.sampled_from(OBJECT_TARGETS),
+       key=st.text(min_size=1, max_size=12).filter(lambda k: k not in KNOWN_KEYS),
+       value=st.sampled_from(FUZZ_VALUES + [1.0]))
+def test_unknown_key_in_input_object_exit_1(target, key, value):
+    kind, path = target
+    doc, commands = FUZZ_DOCUMENTS[kind]
+    doc = copy.deepcopy(doc)
+    _at(doc, path)[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        file = Path(tmp) / "input.json"
+        file.write_text(json.dumps(doc))
+        for command in commands:
+            out = Path(tmp) / f"{command[0]}.out"
+            argv = [str(file) if a == "{file}" else str(out) if a == "{out}" else a
+                    for a in command]
+            assert main(argv) == 1, (argv, path, key)
+            assert not list(Path(tmp).glob(out.name + "*")), argv
 
 
 # --- fuzzing: one numeric flag of a command set to a bad value -------------

@@ -786,6 +786,12 @@ class TestJsonInterfaces:
         ({"species": [{"name": "a", "mass_kg": 6e-26}, {"name": "b", "mass_kg": 1e300}]},
          "path phases 2*pi * delta_L_m * mass_kg * velocity_mps / h overflow"),
         ({"delta_L_m": [0.0, -1.7e308]}, "max |delta_L_m| = 1.7e+308"),
+        ({"note": "x"}, "design has unknown key 'note'"),
+        ({"couplr": {"width_m": 1e-6, "length_m": 1e-5, "ports": 2}}, "unknown key 'couplr'"),
+        ({"coupler": {"width_m": 1e-6, "length_m": 1e-5, "ports": 2, "gap_m": 1e-7}},
+         "coupler has unknown key 'gap_m'"),
+        ({"species": [{"name": "a", "mass_kg": 6e-26, "charge_e": 1},
+                      {"name": "b", "mass_kg": 7e-26}]}, "unknown key 'charge_e'"),
     ])
     def test_design_fields_checked_at_load(self, tmp_path, change, named):
         data = design_to_dict(solve_n_path([Species("a", 6e-26), Species("b", 7e-26)], 10.0))
@@ -808,6 +814,8 @@ class TestJsonInterfaces:
         ({"name": "a", "mass_u": "12"}, "mass_u"),
         ({"name": "a", "mass_u": 10**400}, "mass_u"),
         ({"name": None, "mass_u": 12}, "name"),
+        ({"name": "a", "mass_u": 12, "mass": 12}, "unknown key 'mass'"),
+        ({"name": "a", "mass_u": 14, "mass_kg": 1e-20}, "exactly one of mass_kg and mass_u"),
     ])
     def test_species_fields_checked(self, obj, named):
         with pytest.raises(ValueError, match=named):

@@ -482,6 +482,9 @@ class TestRunExperiment:
         ("velocity_mps", float("nan"), "velocity_mps"),
         ("velocity_mps", [50.0], "velocity_mps"),
         ("errors", [0.1], "errors"),
+        ("species", [{"name": "C12", "mass_u": 12.0, "charge_e": 1},
+                     {"name": "C13", "mass_u": 13.0}, {"name": "C14", "mass_u": 14.0}],
+         "unknown key 'charge_e'"),
     ])
     def test_wrong_types_rejected(self, field, value, match):
         with pytest.raises(ValueError, match=match):
