@@ -33,6 +33,7 @@ from .design import (
     MmiGeometry,
     de_broglie_wavelength,
     load_design,
+    load_json,
     load_species_file,
     mmi_length,
     save_design,
@@ -212,7 +213,7 @@ def cmd_montecarlo(args) -> int:
 
 def cmd_simulate(args) -> int:
     started = time.perf_counter()
-    config = json.loads(Path(args.config_file).read_text(encoding="utf-8"))
+    config = load_json(args.config_file)
     result = run_experiment(config)
     _write_json(args.out, result)
     _write_manifest(args.out, "simulate", {"config_file": str(args.config_file)},

@@ -31,6 +31,7 @@ import numbers
 import operator
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from . import _np as np
@@ -111,6 +112,7 @@ class SorterDesign:
     def n(self) -> int:
         return len(self.species)
 
+    @cached_property
     def path_phases(self) -> tuple[tuple[float, ...], ...]:
         """N x N accumulated phases 2*pi * dL_s * m_k * v / h, as rows = mass k of floats.
 
@@ -119,7 +121,9 @@ class SorterDesign:
         m_k, v), written out in its order of operations with the velocity
         checked once: N**2 calls cost twice as much at N = 7.  The fields
         are trusted: they are checked where a design is built (solve_n_path,
-        design_from_dict), not on every call.
+        design_from_dict), not on every call.  Formed once per design and
+        shared by design_from_dict, verify_design and design_leakage: the
+        fields are frozen, and dataclasses.replace builds a new design.
         """
         v = self.velocity
         require_velocity(v)
@@ -250,26 +254,30 @@ def _path_residues(a: list[int]) -> list[tuple[tuple[int, int] | None, dict | No
 
 
 def _bounded_solution(a: list[int], s: int, r: int, m: int,
-                      max_winding: int) -> tuple[int | None, dict | None]:
-    """Smallest x = r (mod m) in 1..max_winding within the winding bound, or the obstruction.
+                      max_winding: int) -> tuple[list[int] | None, dict | None]:
+    """Column [x, t_1(x), ..., t_{N-1}(x)] of the smallest x = r (mod m) within the
+    winding bound, or the obstruction.
 
-    Every winding t_k(x) = (N*A_k*x - k*s*A_0) / (N*A_0) grows with x, so
-    the bound |t_k| <= max_winding keeps an interval of x, and the answer
-    is the first x = r (mod m) inside it.
+    The windings t_k(x) = (N*A_k*x - k*s*A_0) / (N*A_0) are exact integers at
+    the shortest solution r, t_0(x) = x, and each step of m in x adds the
+    integer m*A_k/A_0 to row k.  So the column at r is formed once; a row
+    below -max_winding lifts x by the fewest steps that bring every row up
+    to it, and the column is then the bound test: its largest entry must
+    stay within max_winding, since every t_k grows with x.
     """
-    n = len(a)
-    mod = n * a[0]
-    lo, hi = 1, max_winding
-    for k in range(1, n):
-        c, b = n * a[k], k * s * a[0]
-        lo = max(lo, -((max_winding * mod - b) // c))   # t_k >= -max_winding
-        hi = min(hi, (max_winding * mod + b) // c)      # t_k <= max_winding
-    x = lo + (r - lo) % m
-    if x > hi:
+    mod = len(a) * a[0]
+    nr, b = len(a) * r, s * a[0]
+    column = [(nr * a_k - k * b) // mod for k, a_k in enumerate(a)]
+    bounded = column
+    if min(column) < -max_winding:
+        steps = [m * a_k // a[0] for a_k in a]  # steps[0] = m, the step of x itself
+        lift = max(-((t + max_winding) // d) for t, d in zip(column, steps))
+        bounded = [t + lift * d for t, d in zip(column, steps)]
+    if max(bounded) > max_winding:
         # r > 0, since x = 0 would need N | s in row k = 1: r is the shortest solution
-        need = max(r, *(abs(n * a[k] * r - k * s * a[0]) // mod for k in range(1, n)))
-        return None, {"type": "winding_bound", "x": r, "max_winding_needed": need}
-    return x, None
+        return None, {"type": "winding_bound", "x": r,
+                      "max_winding_needed": max(map(abs, column))}
+    return bounded, None
 
 
 def _min_residual_cycles(a: list[int], paths: list[int],
@@ -326,8 +334,11 @@ def solve_n_path(
     integer solving the congruences N*A_k*x = k*s*A_0 (mod N*A_0) of every
     mass row whose windings all stay within max_winding.  Every path is
     solved exactly as one congruence in x = P*y (see _path_residues), so
-    max_winding bounds only the windings and the ratio denominators.  When
-    a path has no solution, InfeasibleDesignError.report["paths"][s] carries
+    max_winding bounds only the windings and the ratio denominators.  A
+    path's windings are its bound test: the column [x_s, n_{1,s}, ...,
+    n_{N-1,s}] that _bounded_solution checks is the design's column s, so
+    each path is solved in one pass over its rows.  When a path has no
+    solution, InfeasibleDesignError.report["paths"][s] carries
     its obstruction and the smallest worst-row residual over x = 1..x_max,
     where report["residual_x_max"] = x_max <= max_winding bounds the scan to
     x whose windings all stay within max_winding.
@@ -343,23 +354,18 @@ def solve_n_path(
     require_velocity(velocity)
 
     proportions = _rationalize_masses(species, max_winding)
-    a0 = proportions[0]
     lam0 = de_broglie_wavelength(masses[0], velocity)
 
-    delta_lengths = [0.0] * n
-    windings = [[0] * n for _ in range(n)]
+    columns = [[0] * n]  # path 0: no offset and no windings
     infeasible: dict[int, dict] = {}
 
     for s, (residue, obstruction) in enumerate(_path_residues(proportions), start=1):
         if residue is not None:
-            x, obstruction = _bounded_solution(proportions, s, *residue, max_winding)
+            column, obstruction = _bounded_solution(proportions, s, *residue, max_winding)
         if obstruction is not None:
             infeasible[s] = obstruction
             continue
-        delta_lengths[s] = x * lam0
-        windings[0][s] = x
-        for k in range(1, n):
-            windings[k][s] = (n * proportions[k] * x - k * s * a0) // (n * a0)
+        columns.append(column)
 
     if infeasible:
         residuals, x_max = _min_residual_cycles(proportions, list(infeasible), max_winding)
@@ -373,11 +379,12 @@ def solve_n_path(
             {"paths": paths, "residual_x_max": x_max},
         )
 
+    windings = tuple(zip(*columns))
     return SorterDesign(
         velocity=velocity,
         species=species,
-        delta_lengths=tuple(delta_lengths),
-        windings=tuple(tuple(row) for row in windings),
+        delta_lengths=tuple([x * lam0 for x in windings[0]]),
+        windings=windings,
     )
 
 
@@ -392,13 +399,13 @@ def verify_design(design: SorterDesign) -> tuple[tuple[float, ...], ...]:
     r_{k,s} = 2*pi * dL_s * m_k * v / h - 2*pi*k*s/N - 2*pi*n_{k,s}, unwrapped:
     a wrong winding leaves a residual of at least pi.  The design is valid
     iff max |r| <= PHASE_TOL.  Rows = mass k of plain floats, each entry
-    formed as path_phases() - ideal_phases(N) - 2*pi*windings would form it.
+    formed as path_phases - ideal_phases(N) - 2*pi*windings would form it.
     """
     n = design.n
     step, turn = 2.0 * math.pi / n, 2.0 * math.pi
     return tuple([tuple([p - step * (k * s) - turn * w
                          for s, p, w in zip(range(n), phases, turns)])
-                  for k, phases, turns in zip(range(n), design.path_phases(), design.windings)])
+                  for k, phases, turns in zip(range(n), design.path_phases, design.windings)])
 
 
 def distinct_phases_check(n: int, k: int) -> bool:
@@ -434,8 +441,25 @@ def path_error_budget(wavelengths: list[float], n: int) -> float:
 # --- JSON interfaces -------------------------------------------------------
 #
 # Species, design and simulate-config files are checked here, once, where they
-# are read: require_keys refuses a missing or an unknown key in every object, and
-# every malformed value raises a ValueError naming its field.
+# are read: load_json refuses a key repeated in any object, require_keys a missing
+# or an unknown key, and every malformed value raises a ValueError naming its field.
+
+def load_json(path: str | Path):
+    """The JSON value in a file, refused if an object repeats a key.
+
+    json.loads keeps the last of two values silently, so a file holding
+    {"mass_u": 12, "mass_u": 99} would be read as 99 u.
+    """
+    def unique_keys(pairs: list) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValueError(f"{path}: a JSON object repeats key {key!r}")
+            obj[key] = value
+        return obj
+
+    return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
+
 
 def require_keys(obj: dict, what: str, required=(), optional=()) -> dict:
     """Return the JSON object `what`, refused if it lacks a required key or holds a
@@ -503,7 +527,7 @@ def species_from_obj(obj: dict) -> Species:
 
 
 def load_species_file(path: str | Path) -> list[Species]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = load_json(path)
     if not isinstance(data, list) or not data:
         raise ValueError("species file must be a non-empty JSON array")
     return [species_from_obj(obj) for obj in data]
@@ -561,7 +585,7 @@ def design_from_dict(data: dict) -> SorterDesign:
                               ports=ports)
     design = SorterDesign(velocity=velocity, species=species, delta_lengths=delta_lengths,
                           windings=windings, coupler=coupler)
-    if not all(math.isfinite(p) for row in design.path_phases() for p in row):
+    if not all(math.isfinite(p) for row in design.path_phases for p in row):
         raise ValueError(f"path phases 2*pi * delta_L_m * mass_kg * velocity_mps / h overflow a "
                          f"float: max |delta_L_m| = {max(map(abs, delta_lengths))!r}, max "
                          f"mass_kg = {max(sp.mass for sp in species)!r}, "
@@ -575,7 +599,7 @@ def save_design(design: SorterDesign, path: str | Path) -> None:
 
 
 def load_design(path: str | Path) -> SorterDesign:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = load_json(path)
     try:
         return design_from_dict(data)
     except ValueError as exc:

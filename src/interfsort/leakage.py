@@ -121,7 +121,7 @@ def design_leakage(design: SorterDesign) -> np.ndarray:
     Uses the full accumulated phases 2*pi * dL_s * m_k * v / h, so any
     residual of an imperfect design shows up as off-diagonal leakage.
     """
-    return exit_probabilities(design.path_phases())
+    return exit_probabilities(design.path_phases)
 
 
 def analytic_leakage_n3(

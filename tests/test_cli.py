@@ -594,6 +594,16 @@ class TestSimulateCommand:
         assert named in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_repeated_key_exit_1(self, experiment_file, tmp_path, capsys):
+        # json.loads would keep the second seed silently
+        path = tmp_path / "repeated.json"
+        path.write_text(experiment_file.read_text()[:-1] + ', "seed": 22}')
+        out = tmp_path / "r.json"
+        assert main(["simulate", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "repeats key 'seed'" in err and "Traceback" not in err
+        assert not list(tmp_path.glob("r.json*"))
+
 
 class TestAmsCompareCommand:
     def test_table_and_output(self, carbon_file, tmp_path, capsys):
@@ -684,6 +694,21 @@ class TestBadSpeciesFile:
         assert main([command, str(species), *flags, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "mass_u" in err and "Traceback" not in err
+        assert not list(tmp_path.glob("out.json*"))
+
+    @pytest.mark.parametrize("command, flags", [
+        ("design", ["--velocity", "100"]),
+        ("ams-compare", ["--velocity", "1e5", "--b-field", "1"]),
+    ])
+    def test_repeated_mass_key_exit_1(self, tmp_path, capsys, command, flags):
+        # json.loads keeps the last value: C12's radius was printed for 99 u
+        species = tmp_path / "species.json"
+        species.write_text('[{"name": "C12", "mass_u": 12, "mass_u": 99}, '
+                           '{"name": "C13", "mass_u": 13}]')
+        out = tmp_path / "out.json"
+        assert main([command, str(species), *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "repeats key 'mass_u'" in err and "Traceback" not in err
         assert not list(tmp_path.glob("out.json*"))
 
 
@@ -818,6 +843,30 @@ def test_unknown_key_in_input_object_exit_1(target, key, value):
     with tempfile.TemporaryDirectory() as tmp:
         file = Path(tmp) / "input.json"
         file.write_text(json.dumps(doc))
+        for command in commands:
+            out = Path(tmp) / f"{command[0]}.out"
+            argv = [str(file) if a == "{file}" else str(out) if a == "{out}" else a
+                    for a in command]
+            assert main(argv) == 1, (argv, path, key)
+            assert not list(Path(tmp).glob(out.name + "*")), argv
+
+
+@settings(deadline=None, max_examples=200)
+@given(target=st.sampled_from(OBJECT_TARGETS), index=st.integers(0, 10),
+       value=st.sampled_from(FUZZ_VALUES + [1.0, "same"]))
+def test_repeated_key_in_input_object_exit_1(target, index, value):
+    # one of the object's own keys once more, with its own value ("same") or another;
+    # a dict cannot hold it, so a marker key is written and renamed in the text
+    kind, path = target
+    doc, commands = FUZZ_DOCUMENTS[kind]
+    doc = copy.deepcopy(doc)
+    obj = _at(doc, path)
+    key = list(obj)[index % len(obj)]
+    obj["\0repeat"] = obj[key] if value == "same" else value
+    text = json.dumps(doc).replace(json.dumps("\0repeat"), json.dumps(key))
+    with tempfile.TemporaryDirectory() as tmp:
+        file = Path(tmp) / "input.json"
+        file.write_text(text)
         for command in commands:
             out = Path(tmp) / f"{command[0]}.out"
             argv = [str(file) if a == "{file}" else str(out) if a == "{out}" else a

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -168,6 +169,45 @@ def step_and_gcd(a):
     n = len(a)
     step = a[0] // math.gcd(a[0], *(a[k] - k * a[1] for k in range(2, n)))
     return step, math.gcd(n * a[1] * step, n * a[0])
+
+
+def interval_solution(a, s, r, m, max_winding):
+    """_bounded_solution's interval form: the bound |t_k| <= max_winding keeps an
+    interval lo..hi of x from every row, and x = lo + (r - lo) mod m is the first
+    solution inside it.  Returns the column [x, t_1(x), ...] or the obstruction."""
+    n = len(a)
+    mod = n * a[0]
+    lo, hi = 1, max_winding
+    for k in range(1, n):
+        c, b = n * a[k], k * s * a[0]
+        lo = max(lo, -((max_winding * mod - b) // c))   # t_k >= -max_winding
+        hi = min(hi, (max_winding * mod + b) // c)      # t_k <= max_winding
+    x = lo + (r - lo) % m
+    if x > hi:
+        need = max(r, *(abs(n * a[k] * r - k * s * a[0]) // mod for k in range(1, n)))
+        return None, {"type": "winding_bound", "x": r, "max_winding_needed": need}
+    return [x, *((n * a[k] * x - k * s * a[0]) // mod for k in range(1, n))], None
+
+
+def column_cases(seed, count):
+    """(proportions, path s) pairs, N = 2..14.  Half are random; the other half are
+    built so that path s solves at x = A_0 / N with windings n_k of which some lie
+    far below 0, where the column at the shortest solution needs lifting."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        n = rng.randint(2, 14)
+        if len(cases) % 2:
+            a = [rng.randint(1, 12) * n] + [rng.randint(1, 60) for _ in range(n - 1)]
+            paths = range(1, n)
+        else:
+            s = rng.randint(1, n - 1)
+            a = [rng.randint(1, 8) * n] + [k * s + n * rng.randint(-((k * s - 1) // n), 4)
+                                           for k in range(1, n)]
+            paths = [s]
+        if len(set(a)) == n:
+            cases.extend((a, s) for s in paths)
+    return cases
 
 
 def check_obstruction(masses_u, s, obstruction, max_winding):
@@ -583,6 +623,25 @@ class TestIntegerSolver:
                     feasible += 1
         assert feasible >= 500 and infeasible >= 500
 
+    def test_winding_column_matches_the_interval_form(self):
+        # the column at the shortest solution r, lifted when a row winds below
+        # -max_winding, decides every path as the interval lo..hi did
+        compared = lifted = solved = 0
+        for a, s in column_cases(21, 24_000):
+            n, mod = len(a), len(a) * a[0]
+            residue, _ = design_module._path_residues(a)[s - 1]
+            if residue is None:
+                continue
+            r, m = residue
+            at_r = [(n * a[k] * r - k * s * a[0]) // mod for k in range(1, n)]
+            for max_winding in (*range(1, 9), 1000):
+                got = design_module._bounded_solution(a, s, r, m, max_winding)
+                assert got == interval_solution(a, s, r, m, max_winding), (a, s, max_winding)
+                compared += 1
+                lifted += min(at_r) < -max_winding
+                solved += got[0] is not None
+        assert compared >= 20_000 and lifted >= 1000 and solved >= 8000, (compared, lifted, solved)
+
     def test_overflowing_mass_ratio_names_species(self):
         species = [Species("light", 1e-300), Species("heavy", 1e300)]
         with pytest.raises(ValueError, match="'heavy'.*overflows") as exc:
@@ -620,10 +679,20 @@ class TestVerifyDesign:
         design = self._design()
         expected = [[phase_shift(dl, sp.mass, design.velocity) for dl in design.delta_lengths]
                     for sp in design.species]
-        assert np.array_equal(design.path_phases(), np.array(expected))
+        assert np.array_equal(design.path_phases, np.array(expected))
         assert np.array_equal(verify_design(design),
-                              design.path_phases() - ideal_phases(design.n)
+                              design.path_phases - ideal_phases(design.n)
                               - 2 * np.pi * np.array(design.windings, dtype=float))
+
+    def test_path_phases_formed_once_per_design(self):
+        design = self._design()
+        assert design.path_phases is design.path_phases
+        # a design is frozen, and replace builds a new one with phases of its own;
+        # doubling v doubles every phase exactly, as a power of two
+        faster = dataclasses.replace(design, velocity=2 * design.velocity)
+        assert faster.path_phases == tuple(tuple(2 * p for p in row)
+                                           for row in design.path_phases)
+        assert faster.path_phases != design.path_phases
 
     @pytest.mark.parametrize("max_winding", [10, 60, 1000])
     def test_windings_are_the_turns_of_the_path_phases(self, max_winding):
@@ -636,7 +705,7 @@ class TestVerifyDesign:
                 design = solve_n_path(species, 7.0, max_winding=max_winding)
             except InfeasibleDesignError:
                 continue
-            turns = np.rint((design.path_phases() - ideal_phases(design.n)) / (2 * np.pi))
+            turns = np.rint((design.path_phases - ideal_phases(design.n)) / (2 * np.pi))
             assert np.array_equal(turns, np.array(design.windings)), masses
             assert np.abs(verify_design(design)).max() <= design_module.PHASE_TOL, masses
             designs += 1
@@ -681,7 +750,7 @@ class TestVerifyDesign:
                 expected = (phases - ideal_phases(n)
                             - 2.0 * np.pi * np.array(design.windings, dtype=float))
                 # tobytes also tells -0.0 from 0.0, which verify prints differently
-                assert np.array(design.path_phases()).tobytes() == phases.tobytes(), masses
+                assert np.array(design.path_phases).tobytes() == phases.tobytes(), masses
                 assert np.array(verify_design(design)).tobytes() == expected.tobytes(), masses
             designs += 1
         assert designs >= 25
@@ -792,16 +861,23 @@ class TestJsonInterfaces:
          "coupler has unknown key 'gap_m'"),
         ({"species": [{"name": "a", "mass_kg": 6e-26, "charge_e": 1},
                       {"name": "b", "mass_kg": 7e-26}]}, "unknown key 'charge_e'"),
+        # raw JSON text appended to the design object: a dict cannot hold it
+        ('"velocity_mps": 20.0', "repeats key 'velocity_mps'"),
     ])
     def test_design_fields_checked_at_load(self, tmp_path, change, named):
         data = design_to_dict(solve_n_path([Species("a", 6e-26), Species("b", 7e-26)], 10.0))
-        data.update(change)
-        with pytest.raises(ValueError, match=re.escape(named)):
-            design_from_dict(data)
+        if isinstance(change, str):
+            text = json.dumps(data)[:-1] + ", " + change + "}"
+        else:
+            data.update(change)
+            with pytest.raises(ValueError, match=re.escape(named)):
+                design_from_dict(data)
+            text = json.dumps(data)
         path = tmp_path / "design.json"
-        path.write_text(json.dumps(data))
-        with pytest.raises(ValueError, match=re.escape(str(path))):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(str(path))) as exc:
             load_design(path)
+        assert named in str(exc.value)
 
     def test_missing_design_keys_named(self):
         with pytest.raises(ValueError, match="velocity_mps, species, delta_L_m, windings"):
@@ -816,10 +892,18 @@ class TestJsonInterfaces:
         ({"name": None, "mass_u": 12}, "name"),
         ({"name": "a", "mass_u": 12, "mass": 12}, "unknown key 'mass'"),
         ({"name": "a", "mass_u": 14, "mass_kg": 1e-20}, "exactly one of mass_kg and mass_u"),
+        # raw JSON text: json.loads would keep 99 u silently
+        ('{"name": "a", "mass_u": 12, "mass_u": 99}', "repeats key 'mass_u'"),
     ])
-    def test_species_fields_checked(self, obj, named):
+    def test_species_fields_checked(self, tmp_path, obj, named):
+        if not isinstance(obj, str):
+            with pytest.raises(ValueError, match=named):
+                species_from_obj(obj)
+            obj = json.dumps(obj)
+        path = tmp_path / "species.json"
+        path.write_text(f"[{obj}]")
         with pytest.raises(ValueError, match=named):
-            species_from_obj(obj)
+            load_species_file(path)
 
     @pytest.mark.parametrize("value, accepted", [
         (3, True), (np.int64(3), True), (10**400, True),
